@@ -34,13 +34,20 @@ class NBModel:
     class_counts: dict[str, int]
 
 
-def _tie_break(pos_label: Any, neg_label: Any, pos_count: int, neg_count: int) -> Any:
-    """Deterministic label at score 0: larger training prior, then smaller label."""
-    if pos_count > neg_count:
-        return pos_label
-    if neg_count > pos_count:
-        return neg_label
-    return min((pos_label, neg_label), key=str)
+def decide(score: float, labels: tuple[Any, Any], counts: tuple[int, int]) -> Any:
+    """Label for a score: labels[0] above 0, labels[1] below.
+
+    At exactly 0 the label with the larger training count wins, then the
+    smaller label by ``str``.
+    """
+    pos, neg = labels
+    if score > 0:
+        return pos
+    if score < 0:
+        return neg
+    if counts[0] != counts[1]:
+        return pos if counts[0] > counts[1] else neg
+    return min(labels, key=str)
 
 
 def train_nb(
@@ -117,13 +124,8 @@ def predict_nb(model: NBModel, x: FeatureVector) -> Prediction:
         if not 0 <= idx < model.vocab_size:
             raise ValueError(f"index {idx} out of range for vocab_size {model.vocab_size}")
         score += val * (lik_pos[idx] - lik_neg[idx])
-    if score > 0:
-        label = pos
-    elif score < 0:
-        label = neg
-    else:
-        label = _tie_break(pos, neg, model.class_counts[pos], model.class_counts[neg])
-    return Prediction(label=label, score=score)
+    counts = (model.class_counts[pos], model.class_counts[neg])
+    return Prediction(label=decide(score, model.classes, counts), score=score)
 
 
 @dataclass(frozen=True)
@@ -273,10 +275,4 @@ def predict_svm(model: SVMModel, x: FeatureVector) -> Prediction:
         if not math.isfinite(val):
             raise ValueError(f"non-finite feature value {val} at index {idx}")
         score += float(model.weights[idx]) * val
-    if score > 0:
-        label = 1
-    elif score < 0:
-        label = -1
-    else:
-        label = _tie_break(1, -1, model.n_pos, model.n_neg)
-    return Prediction(label=label, score=score)
+    return Prediction(label=decide(score, (1, -1), (model.n_pos, model.n_neg)), score=score)

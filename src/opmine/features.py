@@ -78,15 +78,8 @@ class FeatureDictionary:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
     def index_of(self, ngram: NGram) -> Optional[int]:
         return self.entries.get(ngram)
-
-    def ngrams_in_order(self) -> list[NGram]:
-        return list(self.entries)
 
 
 def _post_ngrams(tokens: Sequence[str], sizes: Iterable[int]) -> Iterable[NGram]:
@@ -281,7 +274,7 @@ def compute_metric(
     metric: str, counts: Mapping[int, int], dictionary: FeatureDictionary
 ) -> FeatureVector:
     if metric == METRIC_PRESENCE:
-        return metric_presence(counts, dictionary.size)
+        return metric_presence(counts, len(dictionary))
     if metric == METRIC_COUNT:
         return metric_count(counts)
     if metric == METRIC_FREQUENCY:

@@ -10,28 +10,22 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .classify import (
-    NBModel,
-    SVMHyperparams,
-    SVMModel,
-    predict_nb,
-    predict_svm,
-    train_nb,
-    train_svm,
-)
+from .classify import decide, train_nb, train_svm
 from .corpus import (
     GOLD_LABELS,
     LABEL_NEGATIVE,
     LABEL_OBJECTIVE,
     LABEL_POSITIVE,
     Corpus,
+    CorpusError,
     Post,
     split_folds,
 )
@@ -69,6 +63,10 @@ LABEL_SUBJECTIVE = "subjective"
 
 STAGE_SUBJECTIVITY = "subjectivity"
 STAGE_POLARITY = "polarity"
+STAGE_CLASSES = {
+    STAGE_SUBJECTIVITY: (LABEL_SUBJECTIVE, LABEL_OBJECTIVE),
+    STAGE_POLARITY: (LABEL_POSITIVE, LABEL_NEGATIVE),
+}
 
 
 @dataclass(frozen=True)
@@ -103,20 +101,7 @@ class PipelineConfig:
             raise ValueError(f"min_count must be positive, got {self.min_count}")
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "classifier": self.classifier,
-            "ngrams": self.ngrams,
-            "rule_mode": self.rule_mode,
-            "rule_scope": self.rule_scope,
-            "stop_words": self.stop_words,
-            "stemming": self.stemming,
-            "min_count": self.min_count,
-            "nb_smoothing": self.nb_smoothing,
-            "svm_lambda": self.svm_lambda,
-            "svm_epochs": self.svm_epochs,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -125,13 +110,16 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class StageModel:
-    """One trained stage: its classes, dictionary, optional trie, and classifier."""
+    """One trained stage: its classes, dictionary, optional trie, and the linear
+    scorer ``bias + weights . x`` that either classifier reduces to; ``decide``
+    turns a score into one of the classes."""
 
     name: str
     classes: tuple[str, str]  # (positive-role label, negative-role label)
     dictionary: FeatureDictionary
-    nb: Optional[NBModel] = None
-    svm: Optional[SVMModel] = None
+    weights: np.ndarray
+    bias: float
+    class_counts: tuple[int, int]  # training posts per class, in classes order
     stem_trie: Optional[SuffixTrie] = None
 
 
@@ -222,24 +210,38 @@ def _train_stage(
         for seq, p in zip(token_seqs, posts)
     ]
     if config.classifier == CLASSIFIER_NB:
+        # the log-posterior margin is linear in x (see predict_nb)
         nb = train_nb(
             vectors,
             list(labels),
             smoothing=config.nb_smoothing,
-            vocab_size=dictionary.size,
+            vocab_size=len(dictionary),
             classes=classes,
         )
-        return StageModel(name=name, classes=classes, dictionary=dictionary, nb=nb, stem_trie=trie)
-    signs = [1 if lab == classes[0] else -1 for lab in labels]
-    svm = train_svm(
-        vectors,
-        signs,
-        lambda_=config.svm_lambda,
-        epochs=config.svm_epochs,
-        seed=config.seed,
-        vocab_size=dictionary.size,
+        pos, neg = classes
+        weights = nb.feature_log_likelihood[pos] - nb.feature_log_likelihood[neg]
+        bias = nb.class_log_prior[pos] - nb.class_log_prior[neg]
+        counts = (nb.class_counts[pos], nb.class_counts[neg])
+    else:
+        signs = [1 if lab == classes[0] else -1 for lab in labels]
+        svm = train_svm(
+            vectors,
+            signs,
+            lambda_=config.svm_lambda,
+            epochs=config.svm_epochs,
+            seed=config.seed,
+            vocab_size=len(dictionary),
+        )
+        weights, bias, counts = svm.weights, svm.bias, (svm.n_pos, svm.n_neg)
+    return StageModel(
+        name=name,
+        classes=classes,
+        dictionary=dictionary,
+        weights=weights,
+        bias=bias,
+        class_counts=counts,
+        stem_trie=trie,
     )
-    return StageModel(name=name, classes=classes, dictionary=dictionary, svm=svm, stem_trie=trie)
 
 
 def train_two_stage(
@@ -271,7 +273,7 @@ def train_two_stage(
     ]
     subjectivity = _train_stage(
         STAGE_SUBJECTIVITY,
-        (LABEL_SUBJECTIVE, LABEL_OBJECTIVE),
+        STAGE_CLASSES[STAGE_SUBJECTIVITY],
         labeled,
         subj_labels,
         config,
@@ -281,7 +283,7 @@ def train_two_stage(
     polar_posts = [p for p in labeled if p.label in (LABEL_POSITIVE, LABEL_NEGATIVE)]
     polarity = _train_stage(
         STAGE_POLARITY,
-        (LABEL_POSITIVE, LABEL_NEGATIVE),
+        STAGE_CLASSES[STAGE_POLARITY],
         polar_posts,
         [p.label for p in polar_posts],
         config,
@@ -306,14 +308,13 @@ def _predict_stage(
 ) -> tuple[str, float]:
     stage_tokens = stem_tokens(stage.stem_trie, list(tokens)) if stage.stem_trie else list(tokens)
     vec = vectorize(stage_tokens, stage.dictionary, config, rules, post_id=post_id)
-    if config.classifier == CLASSIFIER_NB:
-        assert stage.nb is not None
-        pred = predict_nb(stage.nb, vec)
-        return str(pred.label), pred.score
-    assert stage.svm is not None
-    pred = predict_svm(stage.svm, vec)
-    label = stage.classes[0] if pred.label == 1 else stage.classes[1]
-    return label, pred.score
+    # accumulate in the vector's order, as predict_nb/predict_svm do, so the
+    # scores are bit-identical to theirs (a numpy dot would reorder the sum)
+    score = stage.bias
+    weights = stage.weights
+    for idx, val in vec.values.items():
+        score += val * weights[idx]
+    return decide(score, stage.classes, stage.class_counts), score
 
 
 def classify_post(model: TwoStageModel, text: str, post_id: str = "?") -> PostClassification:
@@ -374,37 +375,12 @@ class EvaluationReport:
     n_posts: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "fold_subjectivity": list(self.fold_subjectivity),
-            "fold_polarity": list(self.fold_polarity),
-            "fold_end_to_end": list(self.fold_end_to_end),
-            "subjectivity_accuracy": self.subjectivity_accuracy,
-            "polarity_accuracy": self.polarity_accuracy,
-            "end_to_end_accuracy": self.end_to_end_accuracy,
-            "mean_subjectivity": self.mean_subjectivity,
-            "mean_polarity": self.mean_polarity,
-            "mean_end_to_end": self.mean_end_to_end,
-            "confusion": self.confusion,
-            "n_posts": self.n_posts,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvaluationReport":
-        return cls(
-            k=data["k"],
-            fold_subjectivity=tuple(data["fold_subjectivity"]),
-            fold_polarity=tuple(data["fold_polarity"]),
-            fold_end_to_end=tuple(data["fold_end_to_end"]),
-            subjectivity_accuracy=data["subjectivity_accuracy"],
-            polarity_accuracy=data["polarity_accuracy"],
-            end_to_end_accuracy=data["end_to_end_accuracy"],
-            mean_subjectivity=data["mean_subjectivity"],
-            mean_polarity=data["mean_polarity"],
-            mean_end_to_end=data["mean_end_to_end"],
-            confusion=data["confusion"],
-            n_posts=data["n_posts"],
-        )
+        # JSON turns the per-fold tuples into lists
+        return cls(**{k: tuple(v) if k.startswith("fold_") else v for k, v in data.items()})
 
 
 def evaluate_fold(
@@ -496,6 +472,11 @@ def cross_validate(
     """k-fold cross validation; every fold rebuilds everything from its own training split."""
     plan = split_folds(corpus, k, config.seed, stratified=stratified)
     labeled = corpus.labeled()
+    empty = sorted(set(range(k)) - set(plan.assignment.values()))
+    if empty:
+        sizes = ", ".join(f"{c}={n}" for c, n in sorted(Counter(p.label for p in labeled).items()))
+        folds = ", ".join(map(str, empty))
+        raise CorpusError(f"{k} folds leave fold(s) {folds} without test posts (class sizes: {sizes})")
     fold_evals: list[FoldEval] = []
     for fold in range(k):
         train_posts = tuple(p for p in labeled if plan.assignment[p.id] != fold)
@@ -612,16 +593,21 @@ def grid_cells(table: str, base: PipelineConfig) -> list[GridCell]:
 # ---------------------------------------------------------------------------
 
 MODEL_FORMAT = "opmine-two-stage"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+
+_MODEL_KEYS = {"format", "format_version", "tool_version", "config", "stop_words", "rules", "stages"}
+_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
+_STAGE_KEYS = {"classes", "dictionary", "fingerprint", "stem_vocabulary", "weights", "bias", "class_counts"}
+_DICTIONARY_KEYS = {"ngrams", "doc_freq", "n_docs", "sizes"}
 
 
 class ModelFormatError(ValueError):
-    """Raised when a model file cannot be parsed or fails its fingerprint check."""
+    """Raised when a model file cannot be parsed or fails validation."""
 
 
 def _dictionary_payload(dictionary: FeatureDictionary) -> dict:
     return {
-        "ngrams": [list(g) for g in dictionary.ngrams_in_order()],
+        "ngrams": [list(g) for g in dictionary.entries],
         "doc_freq": list(dictionary.doc_freq),
         "n_docs": dictionary.n_docs,
         "sizes": list(dictionary.ngram_sizes),
@@ -633,40 +619,16 @@ def dictionary_fingerprint(dictionary: FeatureDictionary) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _stage_payload(stage: StageModel, config: PipelineConfig) -> dict:
-    payload: dict = {
+def _stage_payload(stage: StageModel) -> dict:
+    return {
         "classes": list(stage.classes),
         "dictionary": _dictionary_payload(stage.dictionary),
         "fingerprint": dictionary_fingerprint(stage.dictionary),
         "stem_vocabulary": sorted(stage.stem_trie.vocabulary) if stage.stem_trie else None,
+        "weights": stage.weights.tolist(),
+        "bias": stage.bias,
+        "class_counts": list(stage.class_counts),
     }
-    if config.classifier == CLASSIFIER_NB:
-        nb = stage.nb
-        assert nb is not None
-        payload["classifier"] = {
-            "kind": CLASSIFIER_NB,
-            "smoothing": nb.smoothing,
-            "vocab_size": nb.vocab_size,
-            "class_log_prior": {c: nb.class_log_prior[c] for c in nb.classes},
-            "feature_log_likelihood": {
-                c: nb.feature_log_likelihood[c].tolist() for c in nb.classes
-            },
-            "class_counts": {c: nb.class_counts[c] for c in nb.classes},
-        }
-    else:
-        svm = stage.svm
-        assert svm is not None
-        payload["classifier"] = {
-            "kind": CLASSIFIER_SVM,
-            "lambda": svm.hyperparams.lambda_,
-            "epochs": svm.hyperparams.epochs,
-            "seed": svm.hyperparams.seed,
-            "weights": svm.weights.tolist(),
-            "bias": svm.bias,
-            "n_pos": svm.n_pos,
-            "n_neg": svm.n_neg,
-        }
-    return payload
 
 
 def model_to_json(model: TwoStageModel) -> str:
@@ -685,8 +647,8 @@ def model_to_json(model: TwoStageModel) -> str:
             else None
         ),
         "stages": {
-            STAGE_SUBJECTIVITY: _stage_payload(model.subjectivity, model.config),
-            STAGE_POLARITY: _stage_payload(model.polarity, model.config),
+            STAGE_SUBJECTIVITY: _stage_payload(model.subjectivity),
+            STAGE_POLARITY: _stage_payload(model.polarity),
         },
     }
     return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=1) + "\n"
@@ -694,6 +656,14 @@ def model_to_json(model: TwoStageModel) -> str:
 
 def save_model(model: TwoStageModel, path: str | Path) -> None:
     atomic_write_text(Path(path), model_to_json(model))
+
+
+def _check_keys(what: str, data: object, expected: set[str]) -> None:
+    if not isinstance(data, dict):
+        raise ModelFormatError(f"{what} must be a JSON object, got {type(data).__name__}")
+    missing, unknown = sorted(expected - data.keys()), sorted(data.keys() - expected)
+    if missing or unknown:
+        raise ModelFormatError(f"{what}: missing keys {missing}, unknown keys {unknown}")
 
 
 def _dictionary_from_payload(payload: dict) -> FeatureDictionary:
@@ -706,37 +676,49 @@ def _dictionary_from_payload(payload: dict) -> FeatureDictionary:
     )
 
 
-def _stage_from_payload(name: str, payload: dict, config: PipelineConfig) -> StageModel:
-    dictionary = _dictionary_from_payload(payload["dictionary"])
+def _stage_from_payload(name: str, payload: object) -> StageModel:
+    """Rebuild one stage, rejecting anything the scorer could trip over later."""
+    where = f"stage {name!r}"
+    _check_keys(where, payload, _STAGE_KEYS)
+    _check_keys(f"{where} dictionary", payload["dictionary"], _DICTIONARY_KEYS)
+    try:
+        dictionary = _dictionary_from_payload(payload["dictionary"])
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{where} dictionary: {exc}") from exc
     actual = dictionary_fingerprint(dictionary)
     if actual != payload["fingerprint"]:
         raise ModelFormatError(
-            f"stage {name!r}: dictionary fingerprint mismatch "
-            f"(stored {payload['fingerprint'][:12]}..., computed {actual[:12]}...)"
+            f"{where}: dictionary fingerprint mismatch "
+            f"(stored {str(payload['fingerprint'])[:12]}..., computed {actual[:12]}...)"
         )
-    classes = tuple(payload["classes"])
-    trie = build_suffix_trie(payload["stem_vocabulary"]) if payload.get("stem_vocabulary") else None
-    clf = payload["classifier"]
-    if clf["kind"] == CLASSIFIER_NB:
-        nb = NBModel(
-            classes=classes,
-            class_log_prior=dict(clf["class_log_prior"]),
-            feature_log_likelihood={
-                c: np.array(v, dtype=np.float64) for c, v in clf["feature_log_likelihood"].items()
-            },
-            smoothing=clf["smoothing"],
-            vocab_size=clf["vocab_size"],
-            class_counts=dict(clf["class_counts"]),
-        )
-        return StageModel(name=name, classes=classes, dictionary=dictionary, nb=nb, stem_trie=trie)
-    svm = SVMModel(
-        weights=np.array(clf["weights"], dtype=np.float64),
-        bias=clf["bias"],
-        hyperparams=SVMHyperparams(lambda_=clf["lambda"], epochs=clf["epochs"], seed=clf["seed"]),
-        n_pos=clf["n_pos"],
-        n_neg=clf["n_neg"],
+    classes = STAGE_CLASSES[name]
+    if payload["classes"] != list(classes):
+        raise ModelFormatError(f"{where}: classes must be {list(classes)}, got {payload['classes']!r}")
+    weights = payload["weights"]
+    if not isinstance(weights, list) or len(weights) != len(dictionary):
+        raise ModelFormatError(f"{where}: expected a list of {len(dictionary)} weights, one per n-gram")
+    values = weights + [payload["bias"]]
+    # type(), not isinstance(): a bool is an int but no weight
+    if not set(map(type, values)) <= {int, float}:
+        raise ModelFormatError(f"{where}: weights and bias must be numbers")
+    values = np.array(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ModelFormatError(f"{where}: weights and bias must be finite")
+    counts = payload["class_counts"]
+    if not (
+        isinstance(counts, list) and len(counts) == 2 and all(type(n) is int and n >= 0 for n in counts)
+    ):
+        raise ModelFormatError(f"{where}: class_counts must be two non-negative integers, got {counts!r}")
+    trie = build_suffix_trie(payload["stem_vocabulary"]) if payload["stem_vocabulary"] else None
+    return StageModel(
+        name=name,
+        classes=classes,
+        dictionary=dictionary,
+        weights=values[:-1],
+        bias=float(values[-1]),
+        class_counts=(counts[0], counts[1]),
+        stem_trie=trie,
     )
-    return StageModel(name=name, classes=classes, dictionary=dictionary, svm=svm, stem_trie=trie)
 
 
 def load_model(path: str | Path) -> TwoStageModel:
@@ -747,22 +729,30 @@ def load_model(path: str | Path) -> TwoStageModel:
         raise ModelFormatError(f"cannot parse model file {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path} is not a {MODEL_FORMAT} model file")
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported model format version {payload.get('format_version')!r}")
-    config = PipelineConfig.from_dict(payload["config"])
-    stop_list = StopList(words=frozenset(payload["stop_words"])) if payload.get("stop_words") else None
+    version = payload.get("format_version")
+    if version != MODEL_FORMAT_VERSION:
+        raise ModelFormatError(
+            f"{path} has model format version {version!r}, but this opmine reads only "
+            f"version {MODEL_FORMAT_VERSION}; retrain the model with 'opmine train'"
+        )
+    _check_keys("model", payload, _MODEL_KEYS)
+    _check_keys("config", payload["config"], _CONFIG_KEYS)
+    try:
+        config = PipelineConfig.from_dict(payload["config"])
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"config: {exc}") from exc
+    _check_keys("stages", payload["stages"], set(STAGE_CLASSES))
+    stop_list = StopList(words=frozenset(payload["stop_words"])) if payload["stop_words"] else None
     rules = None
-    if payload.get("rules"):
+    if payload["rules"]:
         rules = RuleLexicons(
             negatory=frozenset(payload["rules"]["negatory"]),
             emphasizer=frozenset(payload["rules"]["emphasizer"]),
         )
     return TwoStageModel(
         config=config,
-        subjectivity=_stage_from_payload(
-            STAGE_SUBJECTIVITY, payload["stages"][STAGE_SUBJECTIVITY], config
-        ),
-        polarity=_stage_from_payload(STAGE_POLARITY, payload["stages"][STAGE_POLARITY], config),
+        subjectivity=_stage_from_payload(STAGE_SUBJECTIVITY, payload["stages"][STAGE_SUBJECTIVITY]),
+        polarity=_stage_from_payload(STAGE_POLARITY, payload["stages"][STAGE_POLARITY]),
         stop_list=stop_list,
         rules=rules,
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opmine.classify import (
+    decide,
     predict_nb,
     predict_svm,
     svm_objective,
@@ -18,6 +19,22 @@ from conftest import make_separable_2d
 
 def vec(values):
     return FeatureVector(values=values, metric="count")
+
+
+class TestDecide:
+    def test_sign_of_score_picks_label(self):
+        assert decide(0.5, ("a", "b"), (1, 9)) == "a"
+        assert decide(-0.5, ("a", "b"), (9, 1)) == "b"
+
+    def test_zero_with_unequal_counts_picks_larger_class(self):
+        assert decide(0.0, ("a", "b"), (2, 1)) == "a"
+        assert decide(0.0, ("a", "b"), (1, 2)) == "b"
+        assert decide(-0.0, (1, -1), (1, 2)) == -1
+
+    def test_zero_with_equal_counts_picks_smaller_label_by_str(self):
+        assert decide(0.0, ("b", "a"), (3, 3)) == "a"
+        assert decide(0.0, ("subjective", "objective"), (0, 0)) == "objective"
+        assert decide(0.0, (1, -1), (3, 3)) == -1  # "-1" < "1"
 
 
 # --- independent Bayes-rule oracle ------------------------------------------

@@ -106,6 +106,51 @@ class TestClassify:
         assert "fingerprint" in capsys.readouterr().err
 
 
+DELETE = object()
+POLARITY = ("stages", "polarity")
+
+MALFORMED_MODELS = [
+    # (path to the edited value, new value or DELETE, text the error must name)
+    pytest.param(("format_version",), 1, "retrain", id="v1-file"),
+    pytest.param(("config", "colour"), "red", "colour", id="unknown-config-key"),
+    pytest.param(("config", "seed"), DELETE, "seed", id="missing-config-key"),
+    pytest.param(("config", "min_count"), "5", "config", id="bad-config-value"),
+    pytest.param(("stages",), DELETE, "stages", id="missing-stages"),
+    pytest.param(POLARITY, DELETE, "polarity", id="missing-stage"),
+    pytest.param(("stages", "subjectivity", "bias"), DELETE, "bias", id="missing-stage-key"),
+    pytest.param((*POLARITY, "dictionary", "ngrams", 0), 7, "dictionary", id="bad-ngram"),
+    pytest.param((*POLARITY, "weights", -1), DELETE, "weights", id="truncated-weights"),
+    pytest.param((*POLARITY, "weights", 0), float("nan"), "finite", id="nan-weight"),
+    pytest.param((*POLARITY, "weights", 0), "0.5", "numbers", id="string-weight"),
+    pytest.param(("stages", "subjectivity", "bias"), float("inf"), "finite", id="inf-bias"),
+    pytest.param((*POLARITY, "classes"), ["negative", "positive"], "classes", id="swapped-classes"),
+    pytest.param((*POLARITY, "class_counts"), [-1, 3], "class_counts", id="negative-count"),
+    pytest.param((*POLARITY, "class_counts"), [1, 2, 3], "class_counts", id="three-counts"),
+    pytest.param((*POLARITY, "class_counts"), [1.5, 2], "class_counts", id="float-count"),
+]
+
+
+@pytest.mark.parametrize("keys, value, hint", MALFORMED_MODELS)
+def test_malformed_model_fails_with_one_error_line(model_file, tmp_path, capsys, keys, value, hint):
+    payload = json.loads(model_file.read_text(encoding="utf-8"))
+    *parents, last = keys
+    target = payload
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    rc = main(["classify", "--model", str(path), "--input", "/dev/null"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert hint in err[0]
+
+
 class TestEvaluate:
     def test_single_config_to_stdout(self, corpus_file, capsys):
         rc = main(

@@ -1,13 +1,19 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from opmine.corpus import Corpus, Post, split_folds
-from opmine.features import RuleLexicons
+from opmine import pipeline
+from opmine.classify import SVMHyperparams, SVMModel, predict_nb, predict_svm
+from opmine.corpus import Corpus, CorpusError, Post, split_folds
+from opmine.features import FeatureVector, RuleLexicons
 from opmine.pipeline import (
+    STAGE_CLASSES,
     EvaluationReport,
     ModelFormatError,
     PipelineConfig,
+    _predict_stage,
     accuracy,
     aggregate_report,
     classify_post,
@@ -151,6 +157,16 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match=r"fold \d"):
             cross_validate(Corpus(posts=tuple(posts)), cfg, k=2)
 
+    def test_empty_stratified_folds_name_class_sizes(self):
+        # every class restarts the round-robin at fold 0, so 2 posts per class
+        # fill folds 0 and 1 only
+        posts = tuple(
+            Post(id=f"p{i}", text=f"w{i} x", label=label)
+            for i, label in enumerate(["positive", "negative", "objective"] * 2)
+        )
+        with pytest.raises(CorpusError, match=r"2, 3, 4 .*negative=2, objective=2, positive=2"):
+            cross_validate(Corpus(posts=posts), NB_CFG, k=5)
+
     def test_end_to_end_bounded_by_subjectivity_per_fold(self):
         noisy = generate_corpus(n_posts=120, seed=23, shared_fraction=0.6)
         cfg = PipelineConfig(metric="presence", classifier="nb", min_count=2)
@@ -267,7 +283,111 @@ class TestGrids:
             grid_cells("table9", PipelineConfig())
 
 
+def record_fits(monkeypatch, name):
+    """Wrap pipeline.<name> so each fitted model is kept with the vectors it saw."""
+    fits = []
+    fit = getattr(pipeline, name)
+
+    def recording(vectors, labels, *args, **kwargs):
+        model = fit(vectors, labels, *args, **kwargs)
+        fits.append((vectors, model))
+        return model
+
+    monkeypatch.setattr(pipeline, name, recording)
+    return fits
+
+
+class TestLinearStages:
+    """A stage's `bias + weights . x` is its fitted classifier's score, bit for bit."""
+
+    @pytest.mark.parametrize("clf", ["nb", "svm"])
+    def test_stage_scores_equal_classifier_predictions(self, monkeypatch, clf):
+        fits = record_fits(monkeypatch, f"train_{clf}")
+        corpus = generate_corpus(n_posts=90, seed=31, shared_fraction=0.3)
+        cfg = PipelineConfig(
+            metric="ifrequency",
+            classifier=clf,
+            rule_mode="signed-count",
+            stemming=True,
+            min_count=2,
+            svm_epochs=5,
+        )
+        model = train_two_stage(corpus, cfg, rules=rule_lexicons())
+        labeled = corpus.labeled()
+        stage_posts = (labeled, [p for p in labeled if p.label in ("positive", "negative")])
+        stages = (model.subjectivity, model.polarity)
+        assert len(fits) == 2
+        for stage, posts, (vectors, fitted) in zip(stages, stage_posts, fits):
+            assert len(posts) == len(vectors)
+            for post, vec in zip(posts, vectors):
+                label, score = _predict_stage(stage, tokenize(post.text), cfg, model.rules, post.id)
+                if clf == "nb":
+                    pred = predict_nb(fitted, vec)
+                    expected = pred.label
+                else:
+                    pred = predict_svm(fitted, vec)
+                    expected = stage.classes[0] if pred.label == 1 else stage.classes[1]
+                assert score == pred.score
+                assert label == expected
+
+    def test_nb_zero_score_tie_matches_predict_nb(self, monkeypatch):
+        fits = record_fits(monkeypatch, "train_nb")
+        cfg = PipelineConfig(metric="presence", classifier="nb", min_count=2)
+        model = train_two_stage(generate_corpus(n_posts=60, seed=5), cfg)
+        _, fitted = fits[1]
+        assert fitted.class_counts["positive"] == fitted.class_counts["negative"]
+        label, score = _predict_stage(model.polarity, ["unseen"], cfg, None)
+        pred = predict_nb(fitted, FeatureVector(values={}, metric="presence"))
+        assert score == pred.score == 0.0
+        assert label == pred.label == "negative"
+
+    @pytest.mark.parametrize("counts", [(4, 4), (5, 3), (3, 5)])
+    @pytest.mark.parametrize("stage_name", list(STAGE_CLASSES))
+    def test_zero_score_tie_matches_predict_svm(self, separable_corpus, stage_name, counts):
+        cfg = PipelineConfig(metric="count", classifier="svm", min_count=2, svm_epochs=1)
+        model = train_two_stage(separable_corpus, cfg)
+        stage = getattr(model, stage_name)
+        tied = replace(stage, weights=np.zeros_like(stage.weights), bias=0.0, class_counts=counts)
+        svm = SVMModel(
+            weights=tied.weights,
+            bias=0.0,
+            hyperparams=SVMHyperparams(lambda_=0.01, epochs=1, seed=0),
+            n_pos=counts[0],
+            n_neg=counts[1],
+        )
+        text = separable_corpus.posts[0].text
+        label, score = _predict_stage(tied, tokenize(text), cfg, None)
+        pred = predict_svm(svm, FeatureVector(values={}, metric="count"))
+        assert score == pred.score == 0.0
+        assert label == (tied.classes[0] if pred.label == 1 else tied.classes[1])
+
+
 class TestModelSerialization:
+    @pytest.mark.parametrize("clf", ["nb", "svm"])
+    def test_v2_stage_layout(self, separable_corpus, clf):
+        cfg = PipelineConfig(metric="count", classifier=clf, min_count=2, svm_epochs=2)
+        payload = json.loads(model_to_json(train_two_stage(separable_corpus, cfg)))
+        assert payload["format_version"] == 2
+        for name, stage in payload["stages"].items():
+            assert set(stage) == {
+                "classes",
+                "dictionary",
+                "fingerprint",
+                "stem_vocabulary",
+                "weights",
+                "bias",
+                "class_counts",
+            }
+            assert stage["classes"] == list(STAGE_CLASSES[name])
+            assert len(stage["weights"]) == len(stage["dictionary"]["ngrams"])
+
+    def test_save_next_to_directory_named_like_old_temp_file(self, tmp_path, separable_corpus):
+        model = train_two_stage(separable_corpus, NB_CFG)
+        (tmp_path / "model.json.tmp").mkdir()
+        save_model(model, tmp_path / "model.json")
+        assert model_to_json(load_model(tmp_path / "model.json")) == model_to_json(model)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "model.json.tmp"]
+
     def test_round_trip_preserves_predictions(self, tmp_path, separable_corpus):
         stop = StopList(frozenset({"vemos"}))
         cfg = PipelineConfig(
