@@ -3,6 +3,11 @@
 Multinomial Naive Bayes with additive smoothing, and a linear soft-margin SVM
 trained by seeded stochastic subgradient descent (step 1/(lambda*t), averaged
 iterates, unregularized bias). Both are deterministic for fixed inputs.
+
+The SVM never stores w itself: w_t = u_t/(lambda*t), where u_t sums y*x over
+the margin-violating steps, and the average of w_1..w_T follows from u and one
+harmonic-weighted sum z (see ``train_svm``). Each step therefore costs O(nnz)
+of its post, not O(m) of the dictionary.
 """
 
 from __future__ import annotations
@@ -148,58 +153,6 @@ class SVMModel:
         return int(self.weights.shape[0])
 
 
-def _as_arrays(vectors: Sequence[FeatureVector]) -> list[tuple[np.ndarray, np.ndarray]]:
-    out = []
-    for vec in vectors:
-        idx = np.fromiter(vec.values.keys(), dtype=np.int64, count=len(vec.values))
-        val = np.fromiter(vec.values.values(), dtype=np.float64, count=len(vec.values))
-        out.append((idx, val))
-    return out
-
-
-def svm_objective(
-    weights: np.ndarray,
-    bias: float,
-    vectors: Sequence[FeatureVector],
-    labels: Sequence[int],
-    lambda_: float,
-) -> float:
-    """Primal soft-margin objective (lambda/2)||w||^2 + mean hinge loss."""
-    total = 0.0
-    for vec, y in zip(vectors, labels):
-        margin = bias
-        for idx, val in vec.values.items():
-            margin += weights[idx] * val
-        total += max(0.0, 1.0 - y * margin)
-    return 0.5 * lambda_ * float(weights @ weights) + total / len(vectors)
-
-
-def svm_objective_gradient(
-    weights: np.ndarray,
-    bias: float,
-    vectors: Sequence[FeatureVector],
-    labels: Sequence[int],
-    lambda_: float,
-) -> tuple[np.ndarray, float]:
-    """Subgradient of the primal objective at (w, b).
-
-    At a hinge kink (margin exactly 1) the flat branch is chosen; callers doing
-    finite-difference checks must skip those coordinates.
-    """
-    grad_w = lambda_ * weights.copy()
-    grad_b = 0.0
-    n = len(vectors)
-    for vec, y in zip(vectors, labels):
-        margin = bias
-        for idx, val in vec.values.items():
-            margin += weights[idx] * val
-        if y * margin < 1.0:
-            for idx, val in vec.values.items():
-                grad_w[idx] -= y * val / n
-            grad_b -= y / n
-    return grad_w, grad_b
-
-
 def train_svm(
     vectors: Sequence[FeatureVector],
     labels: Sequence[int],
@@ -211,9 +164,16 @@ def train_svm(
     """Stochastic subgradient descent on the primal objective, averaged iterates.
 
     Per step t: eta = 1/(lambda*t); w <- (1 - 1/t) w, plus eta*y*x and b <- b + eta*y
-    on margin violation. The returned model averages (w, b) over all steps.
+    on margin violation. The returned model averages (w, b) over all T steps.
     Example order is reshuffled every epoch from a generator seeded once, so the
     whole trajectory is a pure function of (data, hyperparameters, seed).
+
+    Since w_0 = 0 and the decays telescope, w_t = u_t/(lambda*t) exactly, where
+    u_t sums y*x over the violating steps s <= t. With H_t = 1 + 1/2 + ... + 1/t,
+    sum_{t<=T} w_t = (H_T*u_T - z)/lambda, where z sums H_{s-1}*y*x over the
+    violating steps; z is gathered per post (c_j sums H_{s-1} over post j's
+    violating steps) and expanded once at the end. So a step reads and writes
+    only its post's non-zero features: O(nnz), not O(m).
     """
     if len(vectors) != len(labels):
         raise ValueError("vectors and labels must have equal length")
@@ -228,37 +188,45 @@ def train_svm(
         raise ValueError(f"labels must contain both +1 and -1, got {sorted(set(labs))}")
     if vocab_size is None:
         vocab_size = 1 + max((i for v in vectors for i in v.values), default=-1)
-    data = _as_arrays(vectors)
-    for idx, val in data:
-        if not np.all(np.isfinite(val)):
-            raise ValueError("non-finite feature value in training data")
-        if len(idx) and (idx.min() < 0 or idx.max() >= vocab_size):
-            raise ValueError(f"feature index out of range for vocab_size {vocab_size}")
+    data = [vec.values for vec in vectors]
+    for values in data:
+        for idx, val in values.items():
+            if not math.isfinite(val):
+                raise ValueError("non-finite feature value in training data")
+            if not 0 <= idx < vocab_size:
+                raise ValueError(f"feature index out of range for vocab_size {vocab_size}")
 
     rng = np.random.default_rng(seed)
     n = len(data)
-    w = np.zeros(vocab_size, dtype=np.float64)
+    u = [0.0] * vocab_size
+    c = [0.0] * n
+    h = 0.0  # H_{t-1} during step t
     b = 0.0
-    w_sum = np.zeros(vocab_size, dtype=np.float64)
     b_sum = 0.0
     t = 0
     for _ in range(epochs):
-        order = rng.permutation(n)
-        for j in order:
+        for j in rng.permutation(n).tolist():
             t += 1
-            idx, val = data[j]
+            values = data[j]
             y = labs[j]
-            margin = float(w[idx] @ val) + b if len(idx) else b
-            eta = 1.0 / (lambda_ * t)
-            w *= 1.0 - 1.0 / t
+            dot = 0.0
+            for idx, val in values.items():
+                dot += u[idx] * val
+            margin = dot / (lambda_ * (t - 1)) + b if t > 1 else b
             if y * margin < 1.0:
-                w[idx] += eta * y * val
-                b += eta * y
-            w_sum += w
+                for idx, val in values.items():
+                    u[idx] += y * val
+                c[j] += h
+                b += y / (lambda_ * t)
             b_sum += b
+            h += 1.0 / t
+    z = [0.0] * vocab_size
+    for values, c_j, y in zip(data, c, labs):
+        for idx, val in values.items():
+            z[idx] += c_j * y * val
     n_pos = sum(1 for y in labs if y == 1)
     return SVMModel(
-        weights=w_sum / t,
+        weights=(h * np.array(u) - np.array(z)) / (lambda_ * t),
         bias=b_sum / t,
         hyperparams=SVMHyperparams(lambda_=lambda_, epochs=epochs, seed=seed),
         n_pos=n_pos,

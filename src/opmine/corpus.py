@@ -9,6 +9,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, Optional
 
+from .ioutil import atomic_write_text
+
 LABEL_POSITIVE = "positive"
 LABEL_NEGATIVE = "negative"
 LABEL_OBJECTIVE = "objective"
@@ -159,10 +161,8 @@ def load_corpus(path: str | Path) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus back to JSONL; load_corpus(save_corpus(c)) == c."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for post in corpus:
-            handle.write(json.dumps(post.to_record(), ensure_ascii=False) + "\n")
+    """Write a corpus back to JSONL, atomically; load_corpus(save_corpus(c)) == c."""
+    atomic_write_text(path, "".join(json.dumps(p.to_record(), ensure_ascii=False) + "\n" for p in corpus))
 
 
 def split_folds(corpus: Corpus, k: int, seed: int, stratified: bool = True) -> FoldPlan:

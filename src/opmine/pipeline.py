@@ -666,6 +666,17 @@ def _check_keys(what: str, data: object, expected: set[str]) -> None:
         raise ModelFormatError(f"{what}: missing keys {missing}, unknown keys {unknown}")
 
 
+def _word_list(what: str, value: object, used: bool) -> Optional[frozenset[str]]:
+    """A stored lexicon: a list of strings when the config uses it, else null."""
+    if not used:
+        if value is not None:
+            raise ModelFormatError(f"{what} must be null when the config does not use it")
+        return None
+    if not (isinstance(value, list) and all(isinstance(word, str) for word in value)):
+        raise ModelFormatError(f"{what} must be a list of strings")
+    return frozenset(value)
+
+
 def _dictionary_from_payload(payload: dict) -> FeatureDictionary:
     entries = {tuple(g): i for i, g in enumerate(payload["ngrams"])}
     return FeatureDictionary(
@@ -676,7 +687,7 @@ def _dictionary_from_payload(payload: dict) -> FeatureDictionary:
     )
 
 
-def _stage_from_payload(name: str, payload: object) -> StageModel:
+def _stage_from_payload(name: str, payload: object, config: PipelineConfig) -> StageModel:
     """Rebuild one stage, rejecting anything the scorer could trip over later."""
     where = f"stage {name!r}"
     _check_keys(where, payload, _STAGE_KEYS)
@@ -709,7 +720,10 @@ def _stage_from_payload(name: str, payload: object) -> StageModel:
         isinstance(counts, list) and len(counts) == 2 and all(type(n) is int and n >= 0 for n in counts)
     ):
         raise ModelFormatError(f"{where}: class_counts must be two non-negative integers, got {counts!r}")
-    trie = build_suffix_trie(payload["stem_vocabulary"]) if payload["stem_vocabulary"] else None
+    stems = _word_list(f"{where} stem_vocabulary", payload["stem_vocabulary"], used=config.stemming)
+    if config.stemming and not stems:
+        raise ModelFormatError(f"{where} stem_vocabulary must not be empty")
+    trie = build_suffix_trie(stems) if config.stemming else None
     return StageModel(
         name=name,
         classes=classes,
@@ -742,17 +756,27 @@ def load_model(path: str | Path) -> TwoStageModel:
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"config: {exc}") from exc
     _check_keys("stages", payload["stages"], set(STAGE_CLASSES))
-    stop_list = StopList(words=frozenset(payload["stop_words"])) if payload["stop_words"] else None
+    stop_words = _word_list("stop_words", payload["stop_words"], used=config.stop_words)
+    stop_list = StopList(words=stop_words) if config.stop_words else None
     rules = None
-    if payload["rules"]:
-        rules = RuleLexicons(
-            negatory=frozenset(payload["rules"]["negatory"]),
-            emphasizer=frozenset(payload["rules"]["emphasizer"]),
+    if config.rule_mode == RULE_MODE_OFF:
+        _word_list("rules", payload["rules"], used=False)
+    else:
+        _check_keys("rules", payload["rules"], {"negatory", "emphasizer"})
+        negatory, emphasizer = (
+            _word_list(f"rules {key}", payload["rules"][key], used=True)
+            for key in ("negatory", "emphasizer")
         )
+        try:
+            rules = RuleLexicons(negatory=negatory, emphasizer=emphasizer)
+        except ValueError as exc:
+            raise ModelFormatError(f"rules: {exc}") from exc
     return TwoStageModel(
         config=config,
-        subjectivity=_stage_from_payload(STAGE_SUBJECTIVITY, payload["stages"][STAGE_SUBJECTIVITY]),
-        polarity=_stage_from_payload(STAGE_POLARITY, payload["stages"][STAGE_POLARITY]),
+        subjectivity=_stage_from_payload(
+            STAGE_SUBJECTIVITY, payload["stages"][STAGE_SUBJECTIVITY], config
+        ),
+        polarity=_stage_from_payload(STAGE_POLARITY, payload["stages"][STAGE_POLARITY], config),
         stop_list=stop_list,
         rules=rules,
     )

@@ -17,8 +17,6 @@ import pytest
 from opmine.classify import (
     predict_nb,
     predict_svm,
-    svm_objective,
-    svm_objective_gradient,
     train_nb,
     train_svm,
 )
@@ -42,6 +40,7 @@ from opmine.stats import MoodRow, mood_by_topic
 from opmine.synthetic import generate_corpus, shuffle_labels
 
 from conftest import make_separable_2d
+from svm_oracle import svm_objective, svm_objective_gradient
 from test_classify import brute_force_nb_score
 from test_features import brute_force_counts, brute_force_metric
 from test_preprocess import brute_force_variety

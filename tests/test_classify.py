@@ -2,19 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from opmine.classify import (
     decide,
     predict_nb,
     predict_svm,
-    svm_objective,
-    svm_objective_gradient,
     train_nb,
     train_svm,
 )
 from opmine.features import FeatureVector
 
 from conftest import make_separable_2d
+from svm_oracle import svm_objective, svm_objective_gradient, train_svm_dense
 
 
 def vec(values):
@@ -244,6 +245,13 @@ class TestSVMTraining:
                 [vec({0: float("nan")}), vec({0: 1})], [1, -1], lambda_=0.1, epochs=1, seed=0
             )
 
+    def test_feature_index_out_of_range_rejected(self):
+        for bad in (3, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                train_svm(
+                    [vec({bad: 1.0}), vec({0: 1.0})], [1, -1], lambda_=0.1, epochs=1, seed=0, vocab_size=3
+                )
+
 
 class TestSVMPrediction:
     def test_zero_model_ties_deterministically(self):
@@ -277,3 +285,77 @@ class TestSVMPrediction:
         assert s3 == pytest.approx(3 * s1, rel=1e-9)
         if s1 != 0:
             assert predict_svm(unbiased, x).label == predict_svm(unbiased, scaled).label
+
+
+# --- lazy trainer vs the dense oracle -----------------------------------------
+
+def assert_matches_dense(got, want):
+    """Weights within 1e-9 of the oracle's largest weight, bias and counts exact."""
+    scale = np.abs(want.weights).max(initial=0.0)
+    assert np.abs(got.weights - want.weights).max(initial=0.0) <= 1e-9 * scale
+    assert got.bias == want.bias
+    assert (got.n_pos, got.n_neg) == (want.n_pos, want.n_neg)
+
+
+@st.composite
+def svm_problems(draw):
+    m = draw(st.integers(min_value=1, max_value=6))
+    value = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)
+    vector = st.one_of(st.just({}), st.dictionaries(st.integers(0, m - 1), value, max_size=m))
+    values = draw(st.lists(vector, min_size=2, max_size=10))
+    labels = draw(
+        st.lists(st.sampled_from([1, -1]), min_size=len(values), max_size=len(values)).filter(
+            lambda ys: set(ys) == {1, -1}
+        )
+    )
+    return {
+        "vectors": [vec(v) for v in values],
+        "labels": labels,
+        "lambda_": draw(st.floats(min_value=0.01, max_value=10)),
+        "epochs": draw(st.integers(min_value=1, max_value=3)),
+        "seed": draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        "vocab_size": m + draw(st.integers(min_value=0, max_value=2)),
+    }
+
+
+class TestSVMMatchesDenseOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(svm_problems())
+    def test_same_trajectory_as_dense_loop(self, problem):
+        margins = []
+        want = train_svm_dense(**problem, margins=margins)
+        # rounding can flip a margin violation only at an exact tie
+        assume(all(abs(margin - 1.0) >= 1e-9 for margin in margins))
+        assert_matches_dense(train_svm(**problem), want)
+
+    def test_first_step_scores_the_bias_alone(self):
+        # step 1 sees w = b = 0, so it always violates; with disjoint supports the
+        # second step's margin is b_1 = y1/lambda, and y2*b_1 = -2 violates too
+        vectors = [vec({0: 2.0}), vec({1: 3.0})]
+        labels = [1, -1]
+        got = train_svm(vectors, labels, lambda_=0.5, epochs=1, seed=0)
+        assert_matches_dense(got, train_svm_dense(vectors, labels, lambda_=0.5, epochs=1, seed=0))
+        first, second = np.random.default_rng(0).permutation(2).tolist()
+        y1, y2 = labels[first], labels[second]
+        # w_1 = y1*x1/lambda, w_2 = w_1/2 + y2*x2/(2*lambda); b_1 = y1/lambda, b_2 = b_1 + y2/(2*lambda)
+        want = np.zeros(2)
+        want[first] = 1.5 * y1 * vectors[first].values[first]
+        want[second] = 0.5 * y2 * vectors[second].values[second]
+        assert got.weights == pytest.approx(want, rel=1e-12)
+        assert got.bias == pytest.approx((4 * y1 + y2) / 2, rel=1e-12)
+
+    def test_empty_vectors_move_only_the_bias(self):
+        vectors = [vec({}), vec({}), vec({0: 1.0})]
+        labels = [1, -1, -1]
+        got = train_svm(vectors, labels, lambda_=0.1, epochs=3, seed=4, vocab_size=3)
+        want = train_svm_dense(vectors, labels, lambda_=0.1, epochs=3, seed=4, vocab_size=3)
+        assert_matches_dense(got, want)
+        assert got.weights[1] == got.weights[2] == 0.0
+
+    def test_separable_set_matches_dense_loop(self):
+        vectors, labels, _ = make_separable_2d()
+        for epochs in (1, 7, 64):
+            assert_matches_dense(
+                train_svm(vectors, labels, lambda_=0.1, epochs=epochs, seed=3),
+                train_svm_dense(vectors, labels, lambda_=0.1, epochs=epochs, seed=3),
+            )

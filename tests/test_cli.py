@@ -127,6 +127,10 @@ MALFORMED_MODELS = [
     pytest.param((*POLARITY, "class_counts"), [-1, 3], "class_counts", id="negative-count"),
     pytest.param((*POLARITY, "class_counts"), [1, 2, 3], "class_counts", id="three-counts"),
     pytest.param((*POLARITY, "class_counts"), [1.5, 2], "class_counts", id="float-count"),
+    pytest.param(("stop_words",), 3, "stop_words", id="int-stop-words"),
+    pytest.param((*POLARITY, "stem_vocabulary"), 5, "stem_vocabulary", id="int-stem-vocabulary"),
+    pytest.param(("rules",), [1], "rules", id="rules-list"),
+    pytest.param(("rules",), {"negatory": ["nibar"]}, "rules", id="rules-without-emphasizer"),
 ]
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 from datetime import datetime, timezone
 
 import pytest
@@ -178,3 +179,13 @@ def test_save_emits_one_json_object_per_line(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2
     assert all(json.loads(line)["text"] == "t" for line in lines)
+
+
+def test_failed_save_keeps_existing_file(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text("old\n", encoding="utf-8")
+    corpus = Corpus(posts=(Post(id="a", text="fine"), Post(id="b", text="lone surrogate \ud800")))
+    with pytest.raises(UnicodeEncodeError):
+        save_corpus(corpus, path)
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert os.listdir(tmp_path) == ["c.jsonl"]

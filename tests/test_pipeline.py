@@ -7,7 +7,7 @@ import pytest
 from opmine import pipeline
 from opmine.classify import SVMHyperparams, SVMModel, predict_nb, predict_svm
 from opmine.corpus import Corpus, CorpusError, Post, split_folds
-from opmine.features import FeatureVector, RuleLexicons
+from opmine.features import METRICS, FeatureVector, RuleLexicons
 from opmine.pipeline import (
     STAGE_CLASSES,
     EvaluationReport,
@@ -27,6 +27,8 @@ from opmine.pipeline import (
 )
 from opmine.preprocess import StopList, tokenize
 from opmine.synthetic import generate_corpus, rule_lexicons
+
+from svm_oracle import train_svm_dense
 
 
 def tiny_corpus():
@@ -362,6 +364,23 @@ class TestLinearStages:
         assert label == (tied.classes[0] if pred.label == 1 else tied.classes[1])
 
 
+class TestSVMMatchesDenseOracle:
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_two_stage_labels_and_scores(self, monkeypatch, synth300, metric):
+        cfg = PipelineConfig(metric=metric, classifier="svm")
+        model = train_two_stage(synth300, cfg)
+        monkeypatch.setattr(pipeline, "train_svm", train_svm_dense)
+        oracle = train_two_stage(synth300, cfg)
+        for post in synth300.posts:
+            got, want = classify_post(model, post.text), classify_post(oracle, post.text)
+            assert got.label == want.label
+            assert got.subjectivity_score == pytest.approx(want.subjectivity_score, rel=1e-9, abs=1e-9)
+            if want.polarity_score is None:
+                assert got.polarity_score is None
+            else:
+                assert got.polarity_score == pytest.approx(want.polarity_score, rel=1e-9, abs=1e-9)
+
+
 class TestModelSerialization:
     @pytest.mark.parametrize("clf", ["nb", "svm"])
     def test_v2_stage_layout(self, separable_corpus, clf):
@@ -407,6 +426,14 @@ class TestModelSerialization:
         for post in separable_corpus.posts[:10]:
             assert classify_post(loaded, post.text) == classify_post(model, post.text)
 
+    def test_empty_stop_list_round_trip(self, tmp_path, separable_corpus):
+        cfg = PipelineConfig(metric="count", classifier="nb", min_count=2, stop_words=True)
+        model = train_two_stage(separable_corpus, cfg, stop_list=StopList(frozenset()))
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        text = separable_corpus.posts[0].text
+        assert classify_post(loaded, text) == classify_post(model, text)
+
     def test_nb_round_trip(self, tmp_path, separable_corpus):
         cfg = PipelineConfig(metric="presence", classifier="nb", min_count=2)
         model = train_two_stage(separable_corpus, cfg)
@@ -432,3 +459,53 @@ class TestModelSerialization:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ModelFormatError, match="parse"):
             load_model(path)
+
+
+@pytest.fixture(scope="module")
+def lexicon_model_payload(tmp_path_factory):
+    """A saved SVM model that uses stop words, stemming and both rule lexicons."""
+    cfg = PipelineConfig(
+        metric="count", min_count=2, stop_words=True, stemming=True, rule_mode="tag", svm_epochs=1
+    )
+    corpus = generate_corpus(n_posts=60, seed=11, shared_fraction=0.0)
+    model = train_two_stage(corpus, cfg, stop_list=StopList(frozenset({"vemos"})), rules=rule_lexicons())
+    path = tmp_path_factory.mktemp("lexicon") / "model.json"
+    save_model(model, path)
+    return path.read_text(encoding="utf-8")
+
+
+MALFORMED_LEXICONS = [
+    # (path to the edited value, new value, text the error must name)
+    pytest.param(("stop_words",), 3, "stop_words", id="int-stop-words"),
+    pytest.param(("stop_words",), ["vemos", 1], "stop_words", id="non-string-stop-word"),
+    pytest.param(("stop_words",), None, "stop_words", id="stop-words-missing-for-config"),
+    pytest.param(("stages", "polarity", "stem_vocabulary"), 5, "stem_vocabulary", id="int-stems"),
+    pytest.param(("stages", "polarity", "stem_vocabulary"), [], "stem_vocabulary", id="no-stems"),
+    pytest.param(("stages", "polarity", "stem_vocabulary"), None, "stem_vocabulary", id="null-stems"),
+    pytest.param(("rules",), [1], "rules", id="rules-list"),
+    pytest.param(("rules",), {"negatory": ["nibar"]}, "emphasizer", id="rules-missing-emphasizer"),
+    pytest.param(("rules", "negatory"), "nibar", "negatory", id="rules-string"),
+    pytest.param(("rules", "emphasizer"), ["nibar"], "both", id="rules-overlap"),
+    pytest.param(("rules",), None, "rules", id="rules-missing-for-config"),
+    pytest.param(("config", "rule_mode"), "off", "rules", id="rules-without-rule-mode"),
+]
+
+
+@pytest.mark.parametrize("keys, value, hint", MALFORMED_LEXICONS)
+def test_malformed_lexicon_raises_model_format_error(lexicon_model_payload, tmp_path, keys, value, hint):
+    payload = json.loads(lexicon_model_payload)
+    *parents, last = keys
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=hint):
+        load_model(path)
+
+
+def test_lexicon_model_loads_unchanged(lexicon_model_payload, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(lexicon_model_payload, encoding="utf-8")
+    assert model_to_json(load_model(path)) == lexicon_model_payload
