@@ -51,6 +51,8 @@ def _parse_rules_spec(spec: str) -> tuple[RuleLexicons, str, dict]:
         key, _, value = part.partition("=")
         if key not in ("neg", "emp"):
             raise ValueError(f"bad --rules key {key!r}; expected 'neg' or 'emp'")
+        if key in paths:
+            raise ValueError(f"--rules key {key!r} given more than once")
         paths[key] = value
     if not paths:
         raise ValueError("empty --rules specification")
@@ -238,21 +240,14 @@ def cmd_evaluate(args) -> int:
 def cmd_classify(args) -> int:
     model = load_model(args.model)
     if args.text is not None:
-        records = [("text", args.text, None, None)]
+        # a plain record: Post would reject a blank --text
+        records = [{"id": "text", "text": args.text}]
     else:
-        corpus = load_corpus(args.input)
-        records = [
-            (p.id, p.text, p.topic, p.timestamp.isoformat().replace("+00:00", "Z") if p.timestamp else None)
-            for p in corpus
-        ]
-    for pid, text, topic, timestamp in records:
-        result = classify_post(model, text, post_id=pid)
-        record: dict = {"id": pid, "text": text}
-        if topic is not None:
-            record["topic"] = topic
-        if timestamp is not None:
-            record["timestamp"] = timestamp
-        record["label"] = result.label
+        # one record at a time, so each is freed once written
+        records = (p.to_record() for p in load_corpus(args.input))
+    for record in records:
+        result = classify_post(model, record["text"], post_id=record["id"])
+        record["label"] = result.label  # replaces a gold label in place, keeping the key order
         record["scores"] = {
             "subjectivity": result.subjectivity_score,
             "polarity": result.polarity_score,

@@ -124,6 +124,8 @@ def _post_from_record(record: dict, line_no: int) -> Post:
         raise CorpusError(f"line {line_no}: field 'topic' must be a string")
     timestamp = None
     if record.get("timestamp") is not None:
+        if not isinstance(record["timestamp"], str):
+            raise CorpusError(f"line {line_no}: field 'timestamp' must be a string")
         try:
             timestamp = parse_timestamp(record["timestamp"])
         except (ValueError, TypeError) as exc:
@@ -178,15 +180,10 @@ def split_folds(corpus: Corpus, k: int, seed: int, stratified: bool = True) -> F
         raise CorpusError(f"need at least k={k} labeled posts, have {len(labeled)}")
     rng = random.Random(seed)
     assignment: dict[str, int] = {}
-    if stratified:
-        classes = sorted({p.label for p in labeled})
-        for cls in classes:
-            ids = sorted(p.id for p in labeled if p.label == cls)
-            rng.shuffle(ids)
-            for i, pid in enumerate(ids):
-                assignment[pid] = i % k
-    else:
-        ids = sorted(p.id for p in labeled)
+    # a plain split deals a single group holding every labeled post
+    group_of = (lambda p: p.label) if stratified else (lambda p: "")
+    for group in sorted({group_of(p) for p in labeled}):
+        ids = sorted(p.id for p in labeled if group_of(p) == group)
         rng.shuffle(ids)
         for i, pid in enumerate(ids):
             assignment[pid] = i % k

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import chain, repeat
+from typing import Iterator, Mapping, Optional, Sequence
 
 RULE_MODE_OFF = "off"
 RULE_MODE_TAG = "tag"
@@ -78,49 +79,44 @@ class FeatureDictionary:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def index_of(self, ngram: NGram) -> Optional[int]:
-        return self.entries.get(ngram)
+
+def _ngrams(tokens: Sequence[str], n: int) -> Iterator[NGram]:
+    """The post's n-grams of one size, in order."""
+    return zip(tokens, *[tokens[i:] for i in range(1, n)])
 
 
-def _post_ngrams(tokens: Sequence[str], sizes: Iterable[int]) -> Iterable[NGram]:
-    for n in sizes:
-        for i in range(len(tokens) - n + 1):
-            yield tuple(tokens[i : i + n])
-
-
-def _rule_walk(tokens: Sequence[str], rules: RuleLexicons) -> list[tuple[str, int]]:
+def _rule_walk(tokens: Sequence[str], rules: RuleLexicons) -> tuple[list[str], list[int]]:
     """Consume rule words and attach weights to the tokens they modify.
 
-    Returns (token, weight) pairs: +2 for emphasized, -1 for negated, +1 otherwise.
-    A rule word binds the next non-rule token; between stacked rule words the
-    nearer one wins and the farther is dropped. A trailing rule word, having
-    nothing to modify, stays in the stream as an ordinary token.
+    Returns the surviving tokens and, position by position, their weights: +2
+    for emphasized, -1 for negated, +1 otherwise. A rule word binds the next
+    non-rule token; between stacked rule words the nearer one wins and the
+    farther is dropped. A trailing rule word, having nothing to modify, stays
+    in the stream as an ordinary token.
     """
-    out: list[tuple[str, int]] = []
-    pending: Optional[str] = None  # last unconsumed rule word's kind
+    kept: list[str] = []
+    weights: list[int] = []
+    pending = 1  # weight of the next non-rule token
     pending_word: Optional[str] = None
     for token in tokens:
         if token in rules.negatory:
-            pending, pending_word = "neg", token
+            pending, pending_word = -1, token
         elif token in rules.emphasizer:
-            pending, pending_word = "emp", token
-        elif pending == "neg":
-            out.append((token, -1))
-            pending = pending_word = None
-        elif pending == "emp":
-            out.append((token, 2))
-            pending = pending_word = None
+            pending, pending_word = 2, token
         else:
-            out.append((token, 1))
+            kept.append(token)
+            weights.append(pending)
+            pending, pending_word = 1, None
     if pending_word is not None:
-        out.append((pending_word, 1))
-    return out
+        kept.append(pending_word)
+        weights.append(1)
+    return kept, weights
 
 
 def apply_rule_tags(tokens: Sequence[str], rules: RuleLexicons) -> list[str]:
     """Merge rule words into their successors: "not good" -> "NEG_good"."""
     merged = []
-    for token, weight in _rule_walk(tokens, rules):
+    for token, weight in zip(*_rule_walk(tokens, rules)):
         if weight == -1:
             merged.append(NEG_TAG + token)
         elif weight == 2:
@@ -143,7 +139,7 @@ def rule_adjusted_tokens(tokens: Sequence[str], rules: Optional[RuleLexicons], r
     if rule_mode == RULE_MODE_TAG:
         return apply_rule_tags(tokens, rules)
     if rule_mode == RULE_MODE_SIGNED:
-        return [t for t, _ in _rule_walk(tokens, rules)]
+        return _rule_walk(tokens, rules)[0]
     raise ValueError(f"unknown rule_mode {rule_mode!r}")
 
 
@@ -166,7 +162,7 @@ def build_dictionary(
     doc_freq: dict[NGram, int] = {}
     for tokens in training_posts:
         seen: set[NGram] = set()
-        for gram in _post_ngrams(tokens, sizes):
+        for gram in chain.from_iterable(_ngrams(tokens, n) for n in sizes):
             totals[gram] = totals.get(gram, 0) + 1
             seen.add(gram)
         for gram in seen:
@@ -198,34 +194,22 @@ def extract_counts(
     N-grams longer than one token always count +1 per occurrence over the
     surviving stream.
     """
-    if rule_mode not in RULE_MODES:
-        raise ValueError(f"unknown rule_mode {rule_mode!r}")
-    if rule_mode != RULE_MODE_OFF and rules is None:
-        raise ValueError(f"rule_mode={rule_mode!r} requires rule lexicons")
+    unigram_weights: Optional[list[int]] = None
+    if rule_mode == RULE_MODE_SIGNED and rules is not None:
+        stream, unigram_weights = _rule_walk(tokens, rules)
+    else:
+        stream = rule_adjusted_tokens(tokens, rules, rule_mode)
 
+    lookup = dictionary.entries.get
     counts: dict[int, int] = {}
-    if rule_mode == RULE_MODE_SIGNED:
-        assert rules is not None
-        weighted = _rule_walk(tokens, rules)
-        stream = [t for t, _ in weighted]
-        for n in dictionary.ngram_sizes:
-            if n == 1:
-                for token, weight in weighted:
-                    idx = dictionary.index_of((token,))
-                    if idx is not None:
-                        counts[idx] = counts.get(idx, 0) + weight
-            else:
-                for i in range(len(stream) - n + 1):
-                    idx = dictionary.index_of(tuple(stream[i : i + n]))
-                    if idx is not None:
-                        counts[idx] = counts.get(idx, 0) + 1
+    for n in dictionary.ngram_sizes:
+        weights = unigram_weights if n == 1 and unigram_weights is not None else repeat(1)
+        for gram, weight in zip(_ngrams(stream, n), weights):
+            idx = lookup(gram)
+            if idx is not None:
+                counts[idx] = counts.get(idx, 0) + weight
+    if unigram_weights is not None:
         return {i: c for i, c in counts.items() if c != 0}
-
-    stream = rule_adjusted_tokens(tokens, rules, rule_mode)
-    for gram in _post_ngrams(stream, dictionary.ngram_sizes):
-        idx = dictionary.index_of(gram)
-        if idx is not None:
-            counts[idx] = counts.get(idx, 0) + 1
     return counts
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -99,6 +100,12 @@ class PipelineConfig:
             raise ValueError(f"unknown rule_scope {self.rule_scope!r}")
         if self.min_count < 1:
             raise ValueError(f"min_count must be positive, got {self.min_count}")
+        for name in ("nb_smoothing", "svm_lambda"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.svm_epochs < 1:
+            raise ValueError(f"svm_epochs must be positive, got {self.svm_epochs}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -396,30 +403,24 @@ def evaluate_fold(
     (not stage-1 survivors); end-to-end counts the final three-way label.
     """
     model = train_two_stage(train_corpus, config, stop_list, rules)
-    subj_correct = subj_total = 0
-    pol_correct = pol_total = 0
-    e2e_correct = 0
+    subj_correct = pol_correct = pol_total = e2e_correct = 0
     confusion = {g: {p: 0 for p in GOLD_LABELS} for g in GOLD_LABELS}
     for post in test_posts:
-        tokens = _base_tokens(post.text, config, model.stop_list)
-        gold_subj = (
-            LABEL_SUBJECTIVE if post.label in (LABEL_POSITIVE, LABEL_NEGATIVE) else LABEL_OBJECTIVE
-        )
-        subj_label, _ = _predict_stage(model.subjectivity, tokens, config, model.rules, post.id)
-        subj_total += 1
-        subj_correct += subj_label == gold_subj
-        pol_label = None
-        if gold_subj == LABEL_SUBJECTIVE or subj_label == LABEL_SUBJECTIVE:
-            pol_label, _ = _predict_stage(model.polarity, tokens, config, model.rules, post.id)
-        if gold_subj == LABEL_SUBJECTIVE:
+        final = classify_post(model, post.text, post.id).label
+        subj_correct += (final == LABEL_OBJECTIVE) == (post.label == LABEL_OBJECTIVE)
+        if post.label != LABEL_OBJECTIVE:
+            pol_label = final
+            if final == LABEL_OBJECTIVE:
+                # stage 1 missed a gold-subjective post; stage 2 is scored on it anyway
+                tokens = _base_tokens(post.text, config, model.stop_list)
+                pol_label, _ = _predict_stage(model.polarity, tokens, config, model.rules, post.id)
             pol_total += 1
             pol_correct += pol_label == post.label
-        final = LABEL_OBJECTIVE if subj_label == LABEL_OBJECTIVE else pol_label
         e2e_correct += final == post.label
         confusion[post.label][final] += 1
     return FoldEval(
         subj_correct=subj_correct,
-        subj_total=subj_total,
+        subj_total=len(test_posts),
         pol_correct=pol_correct,
         pol_total=pol_total,
         e2e_correct=e2e_correct,
@@ -528,64 +529,40 @@ def grid_cells(table: str, base: PipelineConfig) -> list[GridCell]:
     table4: rule-bigram rows (baseline/negations/emphasizers/both) x 2 classifiers
             for presence (tag mode) and ifrequency (signed-count mode).
     """
-    cells: list[GridCell] = []
+    base = replace(base, ngrams="unigrams", rule_mode=RULE_MODE_OFF, stop_words=False, stemming=False)
     if table in ("table1", "table2"):
         preprocessing = table == "table2"
-        for metric in METRICS:
-            for clf in CLASSIFIERS:
-                cfg = replace(
-                    base,
-                    metric=metric,
-                    classifier=clf,
-                    ngrams="unigrams",
-                    rule_mode=RULE_MODE_OFF,
-                    stop_words=preprocessing,
-                    stemming=preprocessing,
-                )
-                cells.append(GridCell(table, "Accuracy", METRIC_ROW_NAMES[metric], clf, cfg))
+        rows = [
+            ("Accuracy", METRIC_ROW_NAMES[metric],
+             {"metric": metric, "stop_words": preprocessing, "stemming": preprocessing})
+            for metric in METRICS
+        ]
     elif table == "table3":
-        for metric in ("presence", "ifrequency"):
-            for ngrams in ("unigrams", "bigrams", "unigrams+bigrams"):
-                for clf in CLASSIFIERS:
-                    cfg = replace(
-                        base,
-                        metric=metric,
-                        classifier=clf,
-                        ngrams=ngrams,
-                        rule_mode=RULE_MODE_OFF,
-                        stop_words=False,
-                        stemming=False,
-                    )
-                    cells.append(
-                        GridCell(table, METRIC_ROW_NAMES[metric], NGRAM_ROW_NAMES[ngrams], clf, cfg)
-                    )
+        rows = [
+            (METRIC_ROW_NAMES[metric], NGRAM_ROW_NAMES[ngrams], {"metric": metric, "ngrams": ngrams})
+            for metric in ("presence", "ifrequency")
+            for ngrams in NGRAM_ROW_NAMES
+        ]
     elif table == "table4":
-        rows = (
-            ("Unigram", RULE_MODE_OFF, RULE_SCOPE_BOTH),
-            ("Negations only", None, RULE_SCOPE_NEGATION),
-            ("Emphasizers only", None, RULE_SCOPE_EMPHASIS),
-            ("Both", None, RULE_SCOPE_BOTH),
-        )
-        for metric in ("presence", "ifrequency"):
-            # tagging suits a presence representation; count-based metrics get
-            # the signed occurrence adjustment instead
-            block_mode = RULE_MODE_TAG if metric == "presence" else RULE_MODE_SIGNED
-            for row_name, mode, scope in rows:
-                for clf in CLASSIFIERS:
-                    cfg = replace(
-                        base,
-                        metric=metric,
-                        classifier=clf,
-                        ngrams="unigrams",
-                        rule_mode=mode if mode is not None else block_mode,
-                        rule_scope=scope,
-                        stop_words=False,
-                        stemming=False,
-                    )
-                    cells.append(GridCell(table, METRIC_ROW_NAMES[metric], row_name, clf, cfg))
+        # tagging suits a presence representation; count-based metrics get the
+        # signed occurrence adjustment instead
+        rows = [
+            (METRIC_ROW_NAMES[metric], row, {"metric": metric, "rule_mode": mode, "rule_scope": scope})
+            for metric, block_mode in (("presence", RULE_MODE_TAG), ("ifrequency", RULE_MODE_SIGNED))
+            for row, mode, scope in (
+                ("Unigram", RULE_MODE_OFF, RULE_SCOPE_BOTH),
+                ("Negations only", block_mode, RULE_SCOPE_NEGATION),
+                ("Emphasizers only", block_mode, RULE_SCOPE_EMPHASIS),
+                ("Both", block_mode, RULE_SCOPE_BOTH),
+            )
+        ]
     else:
         raise ValueError(f"unknown grid {table!r}; expected one of {GRID_NAMES}")
-    return cells
+    return [
+        GridCell(table, block, row, clf, replace(base, classifier=clf, **overrides))
+        for block, row, overrides in rows
+        for clf in CLASSIFIERS
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +689,12 @@ def _stage_from_payload(name: str, payload: object, config: PipelineConfig) -> S
     # type(), not isinstance(): a bool is an int but no weight
     if not set(map(type, values)) <= {int, float}:
         raise ModelFormatError(f"{where}: weights and bias must be numbers")
-    values = np.array(values, dtype=np.float64)
-    if not np.isfinite(values).all():
+    try:
+        values = np.array(values, dtype=np.float64)
+        finite = np.isfinite(values).all()
+    except OverflowError:  # an integer literal beyond the float range
+        finite = False
+    if not finite:
         raise ModelFormatError(f"{where}: weights and bias must be finite")
     counts = payload["class_counts"]
     if not (

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from opmine.cli import main
-from opmine.corpus import save_corpus
+from opmine.corpus import load_corpus, save_corpus
+from opmine.pipeline import classify_post, load_model
 from opmine.synthetic import generate_corpus
 
 from conftest import write_jsonl
@@ -82,6 +83,27 @@ class TestClassify:
         assert len(records) == 90
         assert all("topic" in r and "timestamp" in r for r in records)
 
+    def test_labeled_input_keeps_key_order_and_writes_predicted_label(
+        self, model_file, corpus_file, tmp_path, capsys
+    ):
+        # rotate every gold label, so a copied gold label cannot pass for a prediction
+        rotate = {"positive": "negative", "negative": "objective", "objective": "positive"}
+        relabeled = tmp_path / "relabeled.jsonl"
+        lines = corpus_file.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        for record in records:
+            record["label"] = rotate[record["label"]]
+        write_jsonl(relabeled, [json.dumps(r, ensure_ascii=False) for r in records])
+        rc = main(["classify", "--model", str(model_file), "--input", str(relabeled)])
+        assert rc == 0
+        written = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        model = load_model(model_file)
+        gold = {p.id: p.label for p in load_corpus(relabeled)}
+        for record in written:
+            assert list(record) == ["id", "text", "topic", "timestamp", "label", "scores"]
+            assert record["label"] == classify_post(model, record["text"]).label
+        assert any(r["label"] != gold[r["id"]] for r in written)
+
     def test_empty_corpus_ok(self, model_file, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -124,6 +146,8 @@ MALFORMED_MODELS = [
     pytest.param((*POLARITY, "weights", 0), "0.5", "numbers", id="string-weight"),
     pytest.param(("stages", "subjectivity", "bias"), float("inf"), "finite", id="inf-bias"),
     pytest.param((*POLARITY, "classes"), ["negative", "positive"], "classes", id="swapped-classes"),
+    pytest.param((*POLARITY, "weights", 0), 10**400, "finite", id="weight-beyond-float"),
+    pytest.param(("stages", "subjectivity", "bias"), -(10**400), "finite", id="bias-beyond-float"),
     pytest.param((*POLARITY, "class_counts"), [-1, 3], "class_counts", id="negative-count"),
     pytest.param((*POLARITY, "class_counts"), [1, 2, 3], "class_counts", id="three-counts"),
     pytest.param((*POLARITY, "class_counts"), [1.5, 2], "class_counts", id="float-count"),
@@ -153,6 +177,58 @@ def test_malformed_model_fails_with_one_error_line(model_file, tmp_path, capsys,
     assert len(err) == 1
     assert err[0].startswith("error:")
     assert hint in err[0]
+
+
+def _assert_one_error_line(capsys, rc, hint):
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert hint in err[0]
+
+
+@pytest.mark.parametrize(
+    "flags, hint",
+    [
+        pytest.param(["--svm-lambda", "nan"], "svm_lambda", id="nan-lambda"),
+        pytest.param(["--svm-lambda", "inf"], "svm_lambda", id="inf-lambda"),
+        pytest.param(["--svm-lambda", "0"], "svm_lambda", id="zero-lambda"),
+        pytest.param(["--nb-smoothing", "nan"], "nb_smoothing", id="nan-smoothing"),
+        pytest.param(["--nb-smoothing", "-1"], "nb_smoothing", id="negative-smoothing"),
+        pytest.param(["--svm-epochs", "0"], "svm_epochs", id="zero-epochs"),
+        pytest.param(["--classifier", "nb", "--svm-epochs", "0"], "svm_epochs", id="zero-epochs-nb"),
+    ],
+)
+def test_bad_hyperparameter_fails_without_writing_a_model(corpus_file, tmp_path, capsys, flags, hint):
+    out = tmp_path / "m.json"
+    rc = main(["train", str(corpus_file), "--out", str(out), "--min-count", "2", *flags])
+    _assert_one_error_line(capsys, rc, hint)
+    assert not out.exists()
+
+
+def test_repeated_rules_key_fails(corpus_file, tmp_path, capsys):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("nodok\n", encoding="utf-8")
+    b.write_text("nibar\n", encoding="utf-8")
+    rc = main(
+        ["train", str(corpus_file), "--out", str(tmp_path / "m.json"), "--rule-mode", "tag",
+         "--rules", f"neg={a},neg={b}"]
+    )
+    _assert_one_error_line(capsys, rc, "neg")
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "classify", "stats"])
+def test_non_string_timestamp_fails_in_every_command(model_file, tmp_path, capsys, command):
+    path = write_jsonl(
+        tmp_path / "c.jsonl", ['{"id": "a", "text": "x", "timestamp": 5, "label": "positive"}']
+    )
+    argv = {
+        "train": ["train", str(path), "--out", str(tmp_path / "m.json")],
+        "evaluate": ["evaluate", str(path)],
+        "classify": ["classify", "--model", str(model_file), "--input", str(path)],
+        "stats": ["stats", str(path), "--by", "month", "--out", str(tmp_path / "s.csv")],
+    }[command]
+    _assert_one_error_line(capsys, main(argv), "timestamp")
 
 
 class TestEvaluate:

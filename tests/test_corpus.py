@@ -72,6 +72,13 @@ def test_missing_required_field(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("value", ["5", "true", "[2009]", '{"y": 2009}'])
+def test_non_string_timestamp_rejected(tmp_path, value):
+    path = write_jsonl(tmp_path / "c.jsonl", ['{"id": "a", "text": "x", "timestamp": %s}' % value])
+    with pytest.raises(CorpusError, match="line 1.*timestamp"):
+        load_corpus(path)
+
+
 def test_empty_text_rejected():
     with pytest.raises(CorpusError, match="empty"):
         Post(id="a", text="  \t ")
@@ -117,6 +124,16 @@ def test_split_deterministic():
     assert a == b
     c = split_folds(corpus, k=5, seed=43)
     assert a != c  # overwhelmingly likely for 21 posts
+
+
+def test_plain_split_matches_recorded_assignment():
+    labels = ["positive", "negative", "objective", "positive", "objective", "negative"]
+    corpus = _posts(labels * 2)
+    plan = split_folds(corpus, k=4, seed=9, stratified=False)
+    assert list(plan.assignment.items()) == [
+        ("p6", 0), ("p4", 1), ("p11", 2), ("p9", 3), ("p0", 0), ("p8", 1),
+        ("p1", 2), ("p10", 3), ("p2", 0), ("p3", 1), ("p7", 2), ("p5", 3),
+    ]
 
 
 def test_too_few_labeled_posts():

@@ -509,3 +509,26 @@ def test_lexicon_model_loads_unchanged(lexicon_model_payload, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(lexicon_model_payload, encoding="utf-8")
     assert model_to_json(load_model(path)) == lexicon_model_payload
+
+
+@pytest.mark.parametrize(
+    "keys, value, hint",
+    [
+        pytest.param(("stages", "polarity", "weights", 0), 10**400, "finite", id="weight-beyond-float"),
+        pytest.param(("stages", "subjectivity", "bias"), -(10**400), "finite", id="bias-beyond-float"),
+        pytest.param(("config", "svm_lambda"), float("nan"), "svm_lambda", id="nan-lambda"),
+        pytest.param(("config", "nb_smoothing"), 0.0, "nb_smoothing", id="zero-smoothing"),
+        pytest.param(("config", "svm_epochs"), 0, "svm_epochs", id="zero-epochs"),
+    ],
+)
+def test_out_of_range_value_raises_model_format_error(lexicon_model_payload, tmp_path, keys, value, hint):
+    payload = json.loads(lexicon_model_payload)
+    *parents, last = keys
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=hint):
+        load_model(path)
