@@ -28,6 +28,7 @@ from .pipeline import (
     PipelineConfig,
     classify_post,
     cross_validate,
+    cross_validate_grid,
     grid_cells,
     load_model,
     save_model,
@@ -177,13 +178,12 @@ def cmd_evaluate(args) -> int:
             rules is None or not rules.negatory or not rules.emphasizer
         ):
             raise ValueError("--grid table4 needs --rules with both neg= and emp= lexicons")
-        results: list[tuple[GridCell, EvaluationReport]] = []
-        for cell in grid_cells(args.grid, config):
-            report = cross_validate(
-                corpus, cell.config, k=args.folds, stop_list=stop_list, rules=rules,
-                stratified=stratified,
-            )
-            results.append((cell, report))
+        cells = grid_cells(args.grid, config)
+        reports = cross_validate_grid(
+            corpus, [cell.config for cell in cells], k=args.folds, stop_list=stop_list,
+            rules=rules, stratified=stratified,
+        )
+        results = list(zip(cells, reports))
         rendered = _render_grid(args.grid, results)
         payload = {
             "table": args.grid,

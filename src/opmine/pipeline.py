@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -146,17 +146,6 @@ class PostClassification:
     polarity_score: Optional[float]  # None when stage 1 said objective
 
 
-def scoped_rules(rules: Optional[RuleLexicons], scope: str) -> Optional[RuleLexicons]:
-    """Narrow the lexicons to the configured rule scope."""
-    if rules is None:
-        return None
-    if scope == RULE_SCOPE_NEGATION:
-        return RuleLexicons(negatory=rules.negatory, emphasizer=frozenset())
-    if scope == RULE_SCOPE_EMPHASIS:
-        return RuleLexicons(negatory=frozenset(), emphasizer=rules.emphasizer)
-    return rules
-
-
 def _base_tokens(text: str, config: PipelineConfig, stop_list: Optional[StopList]) -> list[str]:
     tokens = tokenize(text)
     if config.stop_words:
@@ -165,20 +154,15 @@ def _base_tokens(text: str, config: PipelineConfig, stop_list: Optional[StopList
     return tokens
 
 
-def vectorize(
-    tokens: Sequence[str],
-    dictionary: FeatureDictionary,
-    config: PipelineConfig,
-    rules: Optional[RuleLexicons],
-    post_id: str = "?",
+def _metric_vector(
+    counts: dict[int, int], dictionary: FeatureDictionary, config: PipelineConfig, post_id: str
 ) -> FeatureVector:
-    """Counts -> metric vector, with the two pipeline-level fallbacks.
+    """Metric step: counts -> metric vector, with the two pipeline-level fallbacks.
 
     A zero total count under frequency metrics maps to an empty vector (logged);
     negative values are dropped for NB, whose event model cannot take them (the
     SVM consumes signed values as-is).
     """
-    counts = extract_counts(tokens, dictionary, rules, config.rule_mode)
     try:
         vec = compute_metric(config.metric, counts, dictionary)
     except ZeroTotalCountError:
@@ -195,51 +179,90 @@ def vectorize(
     return vec
 
 
-def _train_stage(
-    name: str,
-    classes: tuple[str, str],
-    posts: Sequence[Post],
-    labels: Sequence[str],
+def vectorize(
+    tokens: Sequence[str],
+    dictionary: FeatureDictionary,
     config: PipelineConfig,
-    stop_list: Optional[StopList],
     rules: Optional[RuleLexicons],
-) -> StageModel:
-    token_seqs = [_base_tokens(p.text, config, stop_list) for p in posts]
+    post_id: str = "?",
+) -> FeatureVector:
+    """Counts step, then metric step, for one post's (stemmed) tokens."""
+    counts = extract_counts(tokens, dictionary, rules, config.rule_mode)
+    return _metric_vector(counts, dictionary, config, post_id)
+
+
+def _stage_rows(posts: Sequence[Post]) -> dict[str, tuple[Sequence[int], list[str]]]:
+    """Each stage's training posts, as indices into posts, and their labels.
+
+    Stage 1 sees every post with positive/negative collapsed to "subjective";
+    stage 2 sees only the positive/negative posts.
+    """
+    polar = [i for i, p in enumerate(posts) if p.label != LABEL_OBJECTIVE]
+    subjectivity = [LABEL_OBJECTIVE if p.label == LABEL_OBJECTIVE else LABEL_SUBJECTIVE for p in posts]
+    return {
+        STAGE_SUBJECTIVITY: (range(len(posts)), subjectivity),
+        STAGE_POLARITY: (polar, [posts[i].label for i in polar]),
+    }
+
+
+def _stage_features(
+    token_seqs: list[list[str]], config: PipelineConfig, rules: Optional[RuleLexicons]
+) -> tuple[Optional[SuffixTrie], FeatureDictionary, list[list[str]]]:
+    """Features step: the trie and dictionary built from a stage's training
+    posts (their base tokens), and those tokens stemmed."""
     trie: Optional[SuffixTrie] = None
     if config.stemming:
-        vocabulary = {t for seq in token_seqs for t in seq}
-        trie = build_suffix_trie(vocabulary)
+        trie = build_suffix_trie({t for seq in token_seqs for t in seq})
         token_seqs = [stem_tokens(trie, seq) for seq in token_seqs]
     dict_streams = [rule_adjusted_tokens(seq, rules, config.rule_mode) for seq in token_seqs]
     dictionary = build_dictionary(dict_streams, NGRAM_SIZES[config.ngrams], config.min_count)
-    vectors = [
-        vectorize(seq, dictionary, config, rules, post_id=p.id)
-        for seq, p in zip(token_seqs, posts)
-    ]
-    if config.classifier == CLASSIFIER_NB:
-        # the log-posterior margin is linear in x (see predict_nb)
-        nb = train_nb(
-            vectors,
-            list(labels),
-            smoothing=config.nb_smoothing,
-            vocab_size=len(dictionary),
-            classes=classes,
+    return trie, dictionary, token_seqs
+
+
+def _fit_stage(
+    name: str,
+    trie: Optional[SuffixTrie],
+    dictionary: FeatureDictionary,
+    vectors: list[FeatureVector],
+    labels: list[str],
+    config: PipelineConfig,
+) -> StageModel:
+    """Fit step: NB or SVM on the metric vectors, reduced to one linear scorer.
+
+    A fit that overflowed to non-finite weights or bias raises ValueError.
+    """
+    classes = STAGE_CLASSES[name]
+    with np.errstate(all="ignore"):  # an overflow is an error below, not a warning
+        if config.classifier == CLASSIFIER_NB:
+            # the log-posterior margin is linear in x (see predict_nb)
+            nb = train_nb(
+                vectors,
+                labels,
+                smoothing=config.nb_smoothing,
+                vocab_size=len(dictionary),
+                classes=classes,
+            )
+            pos, neg = classes
+            weights = nb.feature_log_likelihood[pos] - nb.feature_log_likelihood[neg]
+            bias = nb.class_log_prior[pos] - nb.class_log_prior[neg]
+            counts = (nb.class_counts[pos], nb.class_counts[neg])
+        else:
+            signs = [1 if lab == classes[0] else -1 for lab in labels]
+            svm = train_svm(
+                vectors,
+                signs,
+                lambda_=config.svm_lambda,
+                epochs=config.svm_epochs,
+                seed=config.seed,
+                vocab_size=len(dictionary),
+            )
+            weights, bias, counts = svm.weights, svm.bias, (svm.n_pos, svm.n_neg)
+    if not (np.isfinite(weights).all() and math.isfinite(bias)):
+        knob = "nb_smoothing" if config.classifier == CLASSIFIER_NB else "svm_lambda"
+        raise ValueError(
+            f"stage {name!r}: the {config.classifier} fit gave non-finite weights or bias "
+            f"({knob}={getattr(config, knob)})"
         )
-        pos, neg = classes
-        weights = nb.feature_log_likelihood[pos] - nb.feature_log_likelihood[neg]
-        bias = nb.class_log_prior[pos] - nb.class_log_prior[neg]
-        counts = (nb.class_counts[pos], nb.class_counts[neg])
-    else:
-        signs = [1 if lab == classes[0] else -1 for lab in labels]
-        svm = train_svm(
-            vectors,
-            signs,
-            lambda_=config.svm_lambda,
-            epochs=config.svm_epochs,
-            seed=config.seed,
-            vocab_size=len(dictionary),
-        )
-        weights, bias, counts = svm.weights, svm.bias, (svm.n_pos, svm.n_neg)
     return StageModel(
         name=name,
         classes=classes,
@@ -251,6 +274,47 @@ def _train_stage(
     )
 
 
+def _train_stage(
+    name: str,
+    posts: list[Post],
+    labels: list[str],
+    config: PipelineConfig,
+    stop_list: Optional[StopList],
+    rules: Optional[RuleLexicons],
+) -> StageModel:
+    token_seqs = [_base_tokens(p.text, config, stop_list) for p in posts]
+    trie, dictionary, token_seqs = _stage_features(token_seqs, config, rules)
+    vectors = [
+        vectorize(seq, dictionary, config, rules, post_id=p.id)
+        for seq, p in zip(token_seqs, posts)
+    ]
+    return _fit_stage(name, trie, dictionary, vectors, labels, config)
+
+
+def _checked_rules(
+    config: PipelineConfig, stop_list: Optional[StopList], rules: Optional[RuleLexicons]
+) -> Optional[RuleLexicons]:
+    """Check that the config's stop list and lexicons were given; return the
+    lexicons narrowed to its rule scope, or None when rules are off."""
+    if config.stop_words and stop_list is None:
+        raise ValueError("config enables stop_words but no stop list was provided")
+    if config.rule_mode == RULE_MODE_OFF:
+        return None
+    if rules is None:
+        raise ValueError(f"config sets rule_mode={config.rule_mode!r} but no rule lexicons were provided")
+    if config.rule_scope == RULE_SCOPE_NEGATION:
+        return RuleLexicons(negatory=rules.negatory, emphasizer=frozenset())
+    if config.rule_scope == RULE_SCOPE_EMPHASIS:
+        return RuleLexicons(negatory=frozenset(), emphasizer=rules.emphasizer)
+    return rules
+
+
+def _require_labels(posts: Sequence[Post], where: str = "") -> None:
+    for gold in GOLD_LABELS:
+        if not any(p.label == gold for p in posts):
+            raise ValueError(f"{where}no training posts labeled {gold!r}")
+
+
 def train_two_stage(
     corpus: Corpus,
     config: PipelineConfig,
@@ -259,51 +323,34 @@ def train_two_stage(
 ) -> TwoStageModel:
     """Train both stages from the corpus's labeled posts.
 
-    Stage 1 sees every labeled post with positive/negative collapsed to
-    "subjective"; stage 2 sees only the positive/negative posts. Dictionaries,
-    tries and classifiers are functions of this corpus alone.
+    Dictionaries, tries and classifiers are functions of this corpus alone.
     """
-    if config.stop_words and stop_list is None:
-        raise ValueError("config enables stop_words but no stop list was provided")
-    if config.rule_mode != RULE_MODE_OFF and rules is None:
-        raise ValueError(f"config sets rule_mode={config.rule_mode!r} but no rule lexicons were provided")
-    rules = scoped_rules(rules, config.rule_scope) if config.rule_mode != RULE_MODE_OFF else None
-
+    rules = _checked_rules(config, stop_list, rules)
     labeled = corpus.labeled()
-    for gold in GOLD_LABELS:
-        if not any(p.label == gold for p in labeled):
-            raise ValueError(f"no training posts labeled {gold!r}")
-
-    subj_labels = [
-        LABEL_SUBJECTIVE if p.label in (LABEL_POSITIVE, LABEL_NEGATIVE) else LABEL_OBJECTIVE
-        for p in labeled
-    ]
-    subjectivity = _train_stage(
-        STAGE_SUBJECTIVITY,
-        STAGE_CLASSES[STAGE_SUBJECTIVITY],
-        labeled,
-        subj_labels,
-        config,
-        stop_list,
-        rules,
-    )
-    polar_posts = [p for p in labeled if p.label in (LABEL_POSITIVE, LABEL_NEGATIVE)]
-    polarity = _train_stage(
-        STAGE_POLARITY,
-        STAGE_CLASSES[STAGE_POLARITY],
-        polar_posts,
-        [p.label for p in polar_posts],
-        config,
-        stop_list,
-        rules,
-    )
+    _require_labels(labeled)
+    # one stage at a time, so the first stage's vectors are freed before the second's
+    stages = {
+        name: _train_stage(name, [labeled[i] for i in rows], labels, config, stop_list, rules)
+        for name, (rows, labels) in _stage_rows(labeled).items()
+    }
     return TwoStageModel(
         config=config,
-        subjectivity=subjectivity,
-        polarity=polarity,
+        subjectivity=stages[STAGE_SUBJECTIVITY],
+        polarity=stages[STAGE_POLARITY],
         stop_list=stop_list if config.stop_words else None,
         rules=rules,
     )
+
+
+def _score(stage: StageModel, vec: FeatureVector) -> tuple[str, float]:
+    """Score step: the stage's label and score for one metric vector."""
+    # accumulate in the vector's order, as predict_nb/predict_svm do, so the
+    # scores are bit-identical to theirs (a numpy dot would reorder the sum)
+    score = stage.bias
+    weights = stage.weights
+    for idx, val in vec.values.items():
+        score += val * weights[idx]
+    return decide(score, stage.classes, stage.class_counts), score
 
 
 def _predict_stage(
@@ -313,15 +360,8 @@ def _predict_stage(
     rules: Optional[RuleLexicons],
     post_id: str = "?",
 ) -> tuple[str, float]:
-    stage_tokens = stem_tokens(stage.stem_trie, list(tokens)) if stage.stem_trie else list(tokens)
-    vec = vectorize(stage_tokens, stage.dictionary, config, rules, post_id=post_id)
-    # accumulate in the vector's order, as predict_nb/predict_svm do, so the
-    # scores are bit-identical to theirs (a numpy dot would reorder the sum)
-    score = stage.bias
-    weights = stage.weights
-    for idx, val in vec.values.items():
-        score += val * weights[idx]
-    return decide(score, stage.classes, stage.class_counts), score
+    stage_tokens = stem_tokens(stage.stem_trie, tokens) if stage.stem_trie else tokens
+    return _score(stage, vectorize(stage_tokens, stage.dictionary, config, rules, post_id))
 
 
 def classify_post(model: TwoStageModel, text: str, post_id: str = "?") -> PostClassification:
@@ -390,45 +430,6 @@ class EvaluationReport:
         return cls(**{k: tuple(v) if k.startswith("fold_") else v for k, v in data.items()})
 
 
-def evaluate_fold(
-    train_corpus: Corpus,
-    test_posts: Sequence[Post],
-    config: PipelineConfig,
-    stop_list: Optional[StopList] = None,
-    rules: Optional[RuleLexicons] = None,
-) -> FoldEval:
-    """Train on train_corpus's labeled posts and evaluate on the held-out posts.
-
-    Polarity-stage accuracy is measured against gold-subjective posts directly
-    (not stage-1 survivors); end-to-end counts the final three-way label.
-    """
-    model = train_two_stage(train_corpus, config, stop_list, rules)
-    subj_correct = pol_correct = pol_total = e2e_correct = 0
-    confusion = {g: {p: 0 for p in GOLD_LABELS} for g in GOLD_LABELS}
-    for post in test_posts:
-        final = classify_post(model, post.text, post.id).label
-        subj_correct += (final == LABEL_OBJECTIVE) == (post.label == LABEL_OBJECTIVE)
-        if post.label != LABEL_OBJECTIVE:
-            pol_label = final
-            if final == LABEL_OBJECTIVE:
-                # stage 1 missed a gold-subjective post; stage 2 is scored on it anyway
-                tokens = _base_tokens(post.text, config, model.stop_list)
-                pol_label, _ = _predict_stage(model.polarity, tokens, config, model.rules, post.id)
-            pol_total += 1
-            pol_correct += pol_label == post.label
-        e2e_correct += final == post.label
-        confusion[post.label][final] += 1
-    return FoldEval(
-        subj_correct=subj_correct,
-        subj_total=len(test_posts),
-        pol_correct=pol_correct,
-        pol_total=pol_total,
-        e2e_correct=e2e_correct,
-        e2e_total=len(test_posts),
-        confusion=confusion,
-    )
-
-
 def aggregate_report(fold_evals: Sequence[FoldEval], k: int) -> EvaluationReport:
     """Pool fold tallies into one report; aggregate accuracies are micro-averaged
     so end-to-end accuracy equals the confusion-matrix trace over total posts."""
@@ -462,6 +463,162 @@ def aggregate_report(fold_evals: Sequence[FoldEval], k: int) -> EvaluationReport
     )
 
 
+# PipelineConfig fields read only by the metric, the fit or the fold plan; the
+# other fields form the feature key of the configs that share a fold's features
+_FIT_FIELDS = frozenset({"metric", "classifier", "nb_smoothing", "svm_lambda", "svm_epochs", "seed"})
+
+
+class _FoldStage(NamedTuple):
+    """One stage's features in one fold, shared by the configs of one feature key."""
+
+    trie: Optional[SuffixTrie]
+    dictionary: FeatureDictionary
+    counts: list[dict[int, int]]  # of the stage's training posts, in row order
+    held_out: list[dict[int, int]]  # of every held-out post
+
+
+def _evaluate_configs(
+    train_posts: Sequence[Post],
+    test_posts: Sequence[Post],
+    configs: Sequence[PipelineConfig],
+    scoped: Sequence[Optional[RuleLexicons]],
+    tokens: dict[bool, dict[str, list[str]]],
+) -> list[FoldEval]:
+    """One fold of every config: train on the labeled train_posts, score test_posts.
+
+    tokens maps each stop-word setting to post text -> base tokens. Configs with
+    one feature key share the fold's features, which are dropped on return; the
+    metric, the fit and the scoring run per config. Polarity-stage accuracy is
+    measured against gold-subjective posts directly (not stage-1 survivors);
+    end-to-end counts the final three-way label.
+    """
+    rows = _stage_rows(train_posts)
+    shared: dict[tuple, dict[str, _FoldStage]] = {}
+    evals = []
+    for config, rules in zip(configs, scoped):
+        key = tuple(getattr(config, f.name) for f in fields(config) if f.name not in _FIT_FIELDS)
+        if key not in shared:
+            base = tokens[config.stop_words]
+            shared[key] = {}
+            for name, (stage_rows, _) in rows.items():
+                trie, dictionary, seqs = _stage_features(
+                    [base[train_posts[i].text] for i in stage_rows], config, rules
+                )
+                tests = [base[p.text] for p in test_posts]
+                if trie is not None:
+                    tests = [stem_tokens(trie, seq) for seq in tests]
+                shared[key][name] = _FoldStage(
+                    trie,
+                    dictionary,
+                    counts=[extract_counts(seq, dictionary, rules, config.rule_mode) for seq in seqs],
+                    held_out=[extract_counts(seq, dictionary, rules, config.rule_mode) for seq in tests],
+                )
+        features = shared[key]
+        stages = {}
+        for name, f in features.items():
+            stage_rows, labels = rows[name]
+            vectors = [
+                _metric_vector(counts, f.dictionary, config, train_posts[i].id)
+                for counts, i in zip(f.counts, stage_rows)
+            ]
+            stages[name] = _fit_stage(name, f.trie, f.dictionary, vectors, labels, config)
+
+        def label_of(name: str, i: int) -> str:
+            stage = stages[name]
+            vec = _metric_vector(features[name].held_out[i], stage.dictionary, config, test_posts[i].id)
+            return _score(stage, vec)[0]
+
+        subj_correct = pol_correct = pol_total = e2e_correct = 0
+        confusion = {g: {p: 0 for p in GOLD_LABELS} for g in GOLD_LABELS}
+        for i, post in enumerate(test_posts):
+            final = label_of(STAGE_SUBJECTIVITY, i)
+            if final != LABEL_OBJECTIVE:
+                final = label_of(STAGE_POLARITY, i)
+            subj_correct += (final == LABEL_OBJECTIVE) == (post.label == LABEL_OBJECTIVE)
+            if post.label != LABEL_OBJECTIVE:
+                # stage 2 is scored on every gold-subjective post, also on one stage 1 missed
+                pol_label = final if final != LABEL_OBJECTIVE else label_of(STAGE_POLARITY, i)
+                pol_total += 1
+                pol_correct += pol_label == post.label
+            e2e_correct += final == post.label
+            confusion[post.label][final] += 1
+        evals.append(FoldEval(
+            subj_correct=subj_correct,
+            subj_total=len(test_posts),
+            pol_correct=pol_correct,
+            pol_total=pol_total,
+            e2e_correct=e2e_correct,
+            e2e_total=len(test_posts),
+            confusion=confusion,
+        ))
+    return evals
+
+
+def _base_token_table(
+    posts: Sequence[Post], configs: Sequence[PipelineConfig], stop_list: Optional[StopList]
+) -> dict[bool, dict[str, list[str]]]:
+    """Base tokens of every post text, once per stop-word setting the configs use."""
+    return {
+        config.stop_words: {p.text: _base_tokens(p.text, config, stop_list) for p in posts}
+        for config in {c.stop_words: c for c in configs}.values()
+    }
+
+
+def evaluate_fold(
+    train_corpus: Corpus,
+    test_posts: Sequence[Post],
+    config: PipelineConfig,
+    stop_list: Optional[StopList] = None,
+    rules: Optional[RuleLexicons] = None,
+) -> FoldEval:
+    """Train on train_corpus's labeled posts and evaluate on the held-out posts:
+    one fold of cross_validate_grid for one config."""
+    scoped = _checked_rules(config, stop_list, rules)
+    train_posts = train_corpus.labeled()
+    _require_labels(train_posts)
+    tokens = _base_token_table([*train_posts, *test_posts], [config], stop_list)
+    return _evaluate_configs(train_posts, test_posts, [config], [scoped], tokens)[0]
+
+
+def cross_validate_grid(
+    corpus: Corpus,
+    configs: Sequence[PipelineConfig],
+    k: int = 10,
+    stop_list: Optional[StopList] = None,
+    rules: Optional[RuleLexicons] = None,
+    stratified: bool = True,
+) -> list[EvaluationReport]:
+    """k-fold cross validation of several configs; one report per config, in order.
+
+    The configs' one shared seed deals the folds once. Folds are the outer
+    loop, every fold rebuilds everything from its own training split, and
+    configs with one feature key share that split's features.
+    """
+    if k < 2:
+        raise ValueError(f"cross-validation needs k >= 2 folds, got {k}")
+    seeds = {config.seed for config in configs}
+    if len(seeds) != 1:
+        raise ValueError(f"cross-validated configs must share one seed, got {sorted(seeds)}")
+    scoped = [_checked_rules(config, stop_list, rules) for config in configs]
+    plan = split_folds(corpus, k, seeds.pop(), stratified=stratified)
+    labeled = corpus.labeled()
+    empty = sorted(set(range(k)) - set(plan.assignment.values()))
+    if empty:
+        sizes = ", ".join(f"{c}={n}" for c, n in sorted(Counter(p.label for p in labeled).items()))
+        folds = ", ".join(map(str, empty))
+        raise CorpusError(f"{k} folds leave fold(s) {folds} without test posts (class sizes: {sizes})")
+    tokens = _base_token_table(labeled, configs, stop_list)
+    fold_evals: list[list[FoldEval]] = [[] for _ in configs]
+    for fold in range(k):
+        train_posts = tuple(p for p in labeled if plan.assignment[p.id] != fold)
+        test_posts = [p for p in labeled if plan.assignment[p.id] == fold]
+        _require_labels(train_posts, f"fold {fold}: ")
+        evals = _evaluate_configs(train_posts, test_posts, configs, scoped, tokens)
+        for per_config, ev in zip(fold_evals, evals):
+            per_config.append(ev)
+    return [aggregate_report(evals, k) for evals in fold_evals]
+
+
 def cross_validate(
     corpus: Corpus,
     config: PipelineConfig,
@@ -470,25 +627,8 @@ def cross_validate(
     rules: Optional[RuleLexicons] = None,
     stratified: bool = True,
 ) -> EvaluationReport:
-    """k-fold cross validation; every fold rebuilds everything from its own training split."""
-    plan = split_folds(corpus, k, config.seed, stratified=stratified)
-    labeled = corpus.labeled()
-    empty = sorted(set(range(k)) - set(plan.assignment.values()))
-    if empty:
-        sizes = ", ".join(f"{c}={n}" for c, n in sorted(Counter(p.label for p in labeled).items()))
-        folds = ", ".join(map(str, empty))
-        raise CorpusError(f"{k} folds leave fold(s) {folds} without test posts (class sizes: {sizes})")
-    fold_evals: list[FoldEval] = []
-    for fold in range(k):
-        train_posts = tuple(p for p in labeled if plan.assignment[p.id] != fold)
-        test_posts = [p for p in labeled if plan.assignment[p.id] == fold]
-        for gold in GOLD_LABELS:
-            if not any(p.label == gold for p in train_posts):
-                raise ValueError(f"fold {fold}: no training posts labeled {gold!r}")
-        fold_evals.append(
-            evaluate_fold(Corpus(posts=train_posts), test_posts, config, stop_list, rules)
-        )
-    return aggregate_report(fold_evals, k)
+    """k-fold cross validation of one config (see cross_validate_grid)."""
+    return cross_validate_grid(corpus, [config], k, stop_list, rules, stratified)[0]
 
 
 # ---------------------------------------------------------------------------

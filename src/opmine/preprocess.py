@@ -66,10 +66,12 @@ class TrieNode:
 
 @dataclass(frozen=True)
 class SuffixTrie:
-    """Prefix trie over a vocabulary, with pass-through counts at every node."""
+    """Prefix trie over a vocabulary, with pass-through counts at every node,
+    and the memo of ``stem_tokens`` (min_stem_len -> word -> stem)."""
 
     root: TrieNode
     vocabulary: frozenset[str] = field(hash=False)
+    stems: dict[int, dict[str, str]] = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     def node_at(self, prefix: str) -> TrieNode | None:
         node = self.root
@@ -140,4 +142,12 @@ def stem(trie: SuffixTrie, word: str, min_stem_len: int = MIN_STEM_LEN) -> str:
 
 
 def stem_tokens(trie: SuffixTrie, tokens: list[str], min_stem_len: int = MIN_STEM_LEN) -> list[str]:
-    return [stem(trie, t, min_stem_len) for t in tokens]
+    """``stem`` of every token; each distinct word is stemmed once per trie."""
+    memo = trie.stems.setdefault(min_stem_len, {})
+    out = []
+    for token in tokens:
+        stemmed = memo.get(token)
+        if stemmed is None:
+            stemmed = memo[token] = stem(trie, token, min_stem_len)
+        out.append(stemmed)
+    return out

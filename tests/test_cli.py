@@ -217,6 +217,32 @@ def test_repeated_rules_key_fails(corpus_file, tmp_path, capsys):
     _assert_one_error_line(capsys, rc, "neg")
 
 
+@pytest.mark.parametrize(
+    "flags, hint",
+    [
+        pytest.param(["--svm-lambda", "1e-320"], "svm_lambda", id="subnormal-lambda"),
+        pytest.param(["--classifier", "nb", "--nb-smoothing", "1e308"], "nb_smoothing", id="huge-smoothing"),
+    ],
+)
+@pytest.mark.parametrize("command", ["train", "evaluate", "evaluate-grid"])
+def test_non_finite_fit_fails_with_one_error_line(corpus_file, tmp_path, capsys, command, flags, hint):
+    out = tmp_path / "m.json"
+    argv = {
+        "train": ["train", str(corpus_file), "--out", str(out)],
+        "evaluate": ["evaluate", str(corpus_file), "--folds", "3"],
+        "evaluate-grid": ["evaluate", str(corpus_file), "--folds", "3", "--grid", "table1",
+                          "--out", str(tmp_path / "grid")],
+    }[command]
+    # a numpy overflow warning would fail the test too: pytest turns RuntimeWarning into an error
+    _assert_one_error_line(capsys, main([*argv, "--min-count", "2", *flags]), hint)
+    assert not out.exists() and not (tmp_path / "grid").exists()
+
+
+def test_single_fold_is_rejected(corpus_file, capsys):
+    rc = main(["evaluate", str(corpus_file), "--folds", "1"])
+    _assert_one_error_line(capsys, rc, "needs k >= 2 folds")
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate", "classify", "stats"])
 def test_non_string_timestamp_fails_in_every_command(model_file, tmp_path, capsys, command):
     path = write_jsonl(

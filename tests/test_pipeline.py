@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from opmine.classify import SVMHyperparams, SVMModel, predict_nb, predict_svm
 from opmine.corpus import Corpus, CorpusError, Post, split_folds
 from opmine.features import METRICS, FeatureVector, RuleLexicons
 from opmine.pipeline import (
+    GRID_NAMES,
     STAGE_CLASSES,
     EvaluationReport,
     ModelFormatError,
@@ -18,6 +20,7 @@ from opmine.pipeline import (
     aggregate_report,
     classify_post,
     cross_validate,
+    cross_validate_grid,
     evaluate_fold,
     grid_cells,
     load_model,
@@ -197,6 +200,46 @@ class TestCrossValidate:
         cfg = PipelineConfig(metric="count", classifier="nb", min_count=2)
         report = cross_validate(separable_corpus, cfg, k=3)
         assert EvaluationReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
+
+
+class TestCrossValidateGrid:
+    """One driver call shares each fold's features between configs with one
+    feature key; that sharing must never change a report."""
+
+    def test_sharing_never_changes_a_report(self):
+        corpus = generate_corpus(n_posts=90, seed=5, vocab_size=20, rule_word_prob=0.1)
+        rules = rule_lexicons()
+        freq = Counter(t for p in corpus for t in tokenize(p.text))
+        stop = StopList(
+            frozenset([w for w, _ in freq.most_common() if w not in rules.negatory | rules.emphasizer][:3])
+        )
+        cells = [cell for table in GRID_NAMES for cell in grid_cells(table, PipelineConfig(svm_epochs=3, seed=5))]
+        twin = next(
+            c for c in cells
+            if (c.table, c.block, c.row, c.classifier) == ("table3", "IFrequency", "Unigrams bigrams", "nb")
+        )
+        # min_count is the one feature-key field no table varies
+        variant = replace(twin.config, min_count=1)
+        configs = [cell.config for cell in cells] + [variant]
+        reports = cross_validate_grid(corpus, configs, k=3, stop_list=stop, rules=rules)
+        assert len(reports) == len(configs) == 45
+        for config, report in zip(configs, reports):
+            assert report == cross_validate(corpus, config, k=3, stop_list=stop, rules=rules), config
+        assert reports[-1] != reports[cells.index(twin)]
+
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_fewer_than_two_folds_rejected(self, separable_corpus, k):
+        with pytest.raises(ValueError, match="k >= 2 folds"):
+            cross_validate(separable_corpus, NB_CFG, k=k)
+
+    def test_configs_must_share_a_seed(self, separable_corpus):
+        with pytest.raises(ValueError, match="one seed"):
+            cross_validate_grid(separable_corpus, [NB_CFG, replace(NB_CFG, seed=1)], k=3)
+
+    def test_non_finite_fit_rejected(self, separable_corpus):
+        cfg = PipelineConfig(metric="count", classifier="svm", min_count=2, svm_lambda=1e-320)
+        with pytest.raises(ValueError, match="stage 'subjectivity'.*non-finite.*svm_lambda=1e-320"):
+            train_two_stage(separable_corpus, cfg)
 
 
 class TestNoLeakage:

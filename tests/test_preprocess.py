@@ -1,9 +1,13 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opmine import preprocess
 from opmine.preprocess import (
     StopList,
+    SuffixTrie,
     build_suffix_trie,
     load_stop_list,
     load_word_list,
@@ -184,6 +188,52 @@ class TestStem:
     def test_stem_tokens_maps_elementwise(self):
         trie = build_suffix_trie({"работи", "работам", "работен", "работа"})
         assert stem_tokens(trie, ["работен", "x"]) == ["работ", "x"]
+
+
+class TestStemMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sets(st.text(alphabet="abc", min_size=1, max_size=6), min_size=1, max_size=12),
+        # "d" makes out-of-vocabulary words, size 1 words shorter than the minimum
+        st.lists(st.text(alphabet="abcd", min_size=1, max_size=7), max_size=20),
+        st.sampled_from([None, 1, 2, 3]),
+    )
+    def test_same_as_stem_and_second_call_served_from_memo(self, vocab, tokens, min_stem_len):
+        trie = build_suffix_trie(vocab)
+        words = tokens + sorted(vocab) + tokens
+        length = {} if min_stem_len is None else {"min_stem_len": min_stem_len}
+        expected = [stem(trie, w, **length) for w in words]
+        assert stem_tokens(trie, words, **length) == expected
+        with mock.patch.object(preprocess, "stem", side_effect=AssertionError("memo missed")):
+            assert stem_tokens(trie, words, **length) == expected
+
+    def test_tries_keep_their_own_stems(self):
+        wide = build_suffix_trie({"работи", "работам", "работен", "работа"})
+        narrow = build_suffix_trie({"работен", "книга"})
+        assert stem(narrow, "работен") == "работен"
+        assert stem_tokens(wide, ["работен"]) == ["работ"]
+        assert stem_tokens(narrow, ["работен"]) == ["работен"]
+        assert stem_tokens(wide, ["работен"]) == ["работ"]
+
+    def test_other_min_stem_len_on_a_warm_trie(self):
+        vocab = {"работи", "работам", "работен", "работа", "рака", "раце"}
+        trie = build_suffix_trie(vocab)
+        words = sorted(vocab)
+        stem_tokens(trie, words)
+        for min_stem_len in (1, 3, 6):
+            assert stem_tokens(trie, words, min_stem_len) == [stem(trie, w, min_stem_len) for w in words]
+        # the default length cuts at the "ра" peak; a longer minimum must not see that stem
+        assert stem_tokens(trie, ["работен"]) == ["ра"]
+        assert stem_tokens(trie, ["работен"], 3) == ["работ"]
+
+    def test_equality_and_hash_ignore_the_memo(self):
+        trie = build_suffix_trie({"работи", "работам", "работен"})
+        twin = SuffixTrie(root=trie.root, vocabulary=trie.vocabulary)
+        stem_tokens(trie, ["работен", "x"])
+        assert trie.stems and not twin.stems
+        assert trie == twin
+        assert hash(trie) == hash(twin)
+        assert "stems" not in repr(trie)
 
 
 def _reference_stem(vocab, word, min_stem_len=2):
