@@ -11,6 +11,8 @@ import hashlib
 import json
 import logging
 import math
+import multiprocessing
+import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -154,29 +156,33 @@ def _base_tokens(text: str, config: PipelineConfig, stop_list: Optional[StopList
     return tokens
 
 
-def _metric_vector(
-    counts: dict[int, int], dictionary: FeatureDictionary, config: PipelineConfig, post_id: str
-) -> FeatureVector:
-    """Metric step: counts -> metric vector, with the two pipeline-level fallbacks.
+def _raw_metric(
+    metric: str, counts: dict[int, int], dictionary: FeatureDictionary
+) -> Optional[FeatureVector]:
+    """Metric step shared by both classifiers; None for a zero total count."""
+    try:
+        return compute_metric(metric, counts, dictionary)
+    except ZeroTotalCountError:
+        return None
+
+
+def _classifier_vector(raw: Optional[FeatureVector], config: PipelineConfig, post_id: str) -> FeatureVector:
+    """A shared metric vector with the two pipeline-level fallbacks.
 
     A zero total count under frequency metrics maps to an empty vector (logged);
     negative values are dropped for NB, whose event model cannot take them (the
     SVM consumes signed values as-is).
     """
-    try:
-        vec = compute_metric(config.metric, counts, dictionary)
-    except ZeroTotalCountError:
+    if raw is None:
         logger.warning(
             "post %s: zero total in-dictionary count under metric %r; using empty vector",
             post_id,
             config.metric,
         )
-        vec = FeatureVector(values={}, metric=config.metric)
+        raw = FeatureVector(values={}, metric=config.metric)
     if config.classifier == CLASSIFIER_NB:
-        vec = FeatureVector(
-            values={i: v for i, v in vec.values.items() if v > 0}, metric=vec.metric
-        )
-    return vec
+        return FeatureVector(values={i: v for i, v in raw.values.items() if v > 0}, metric=raw.metric)
+    return raw
 
 
 def vectorize(
@@ -188,7 +194,7 @@ def vectorize(
 ) -> FeatureVector:
     """Counts step, then metric step, for one post's (stemmed) tokens."""
     counts = extract_counts(tokens, dictionary, rules, config.rule_mode)
-    return _metric_vector(counts, dictionary, config, post_id)
+    return _classifier_vector(_raw_metric(config.metric, counts, dictionary), config, post_id)
 
 
 def _stage_rows(posts: Sequence[Post]) -> dict[str, tuple[Sequence[int], list[str]]]:
@@ -477,6 +483,14 @@ class _FoldStage(NamedTuple):
     held_out: list[dict[int, int]]  # of every held-out post
 
 
+class _FoldVectors(NamedTuple):
+    """One stage's metric vectors in one fold (None: zero total count), shared by
+    the NB and SVM configs of one feature key and metric."""
+
+    train: list[Optional[FeatureVector]]
+    held_out: list[Optional[FeatureVector]]
+
+
 def _evaluate_configs(
     train_posts: Sequence[Post],
     test_posts: Sequence[Post],
@@ -487,13 +501,14 @@ def _evaluate_configs(
     """One fold of every config: train on the labeled train_posts, score test_posts.
 
     tokens maps each stop-word setting to post text -> base tokens. Configs with
-    one feature key share the fold's features, which are dropped on return; the
-    metric, the fit and the scoring run per config. Polarity-stage accuracy is
-    measured against gold-subjective posts directly (not stage-1 survivors);
-    end-to-end counts the final three-way label.
+    one feature key share the fold's features, and with one metric as well, its
+    metric vectors; all are dropped on return. The fit and the scoring run per
+    config. Polarity-stage accuracy is measured against gold-subjective posts
+    directly (not stage-1 survivors); end-to-end counts the final three-way label.
     """
     rows = _stage_rows(train_posts)
     shared: dict[tuple, dict[str, _FoldStage]] = {}
+    metric_vectors: dict[tuple, dict[str, _FoldVectors]] = {}
     evals = []
     for config, rules in zip(configs, scoped):
         key = tuple(getattr(config, f.name) for f in fields(config) if f.name not in _FIT_FIELDS)
@@ -514,19 +529,27 @@ def _evaluate_configs(
                     held_out=[extract_counts(seq, dictionary, rules, config.rule_mode) for seq in tests],
                 )
         features = shared[key]
+        if (key, config.metric) not in metric_vectors:
+            metric_vectors[key, config.metric] = {
+                name: _FoldVectors(
+                    train=[_raw_metric(config.metric, counts, f.dictionary) for counts in f.counts],
+                    held_out=[_raw_metric(config.metric, counts, f.dictionary) for counts in f.held_out],
+                )
+                for name, f in features.items()
+            }
+        raw = metric_vectors[key, config.metric]
         stages = {}
         for name, f in features.items():
             stage_rows, labels = rows[name]
             vectors = [
-                _metric_vector(counts, f.dictionary, config, train_posts[i].id)
-                for counts, i in zip(f.counts, stage_rows)
+                _classifier_vector(vec, config, train_posts[i].id)
+                for vec, i in zip(raw[name].train, stage_rows)
             ]
             stages[name] = _fit_stage(name, f.trie, f.dictionary, vectors, labels, config)
 
         def label_of(name: str, i: int) -> str:
-            stage = stages[name]
-            vec = _metric_vector(features[name].held_out[i], stage.dictionary, config, test_posts[i].id)
-            return _score(stage, vec)[0]
+            vec = _classifier_vector(raw[name].held_out[i], config, test_posts[i].id)
+            return _score(stages[name], vec)[0]
 
         subj_correct = pol_correct = pol_total = e2e_correct = 0
         confusion = {g: {p: 0 for p in GOLD_LABELS} for g in GOLD_LABELS}
@@ -580,6 +603,64 @@ def evaluate_fold(
     return _evaluate_configs(train_posts, test_posts, [config], [scoped], tokens)[0]
 
 
+class _CVInputs(NamedTuple):
+    """What every fold of one cross_validate_grid call reads."""
+
+    labeled: tuple[Post, ...]
+    assignment: dict[str, int]  # post id -> fold
+    configs: Sequence[PipelineConfig]
+    scoped: Sequence[Optional[RuleLexicons]]
+    tokens: dict[bool, dict[str, list[str]]]
+
+
+def _cv_fold(inputs: _CVInputs, fold: int) -> list[FoldEval]:
+    """One fold of every config, with that fold's posts held out."""
+    train_posts = tuple(p for p in inputs.labeled if inputs.assignment[p.id] != fold)
+    test_posts = [p for p in inputs.labeled if inputs.assignment[p.id] == fold]
+    _require_labels(train_posts, f"fold {fold}: ")
+    return _evaluate_configs(train_posts, test_posts, inputs.configs, inputs.scoped, inputs.tokens)
+
+
+_worker_inputs: Optional[_CVInputs] = None  # set only in a forked fold worker
+
+
+def _install_cv_inputs(inputs: _CVInputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _worker_cv_fold(fold: int) -> list[FoldEval]:
+    assert _worker_inputs is not None
+    return _cv_fold(_worker_inputs, fold)
+
+
+def _fold_workers(k: int) -> int:
+    """Forked fold workers for k folds: one per usable CPU, at most k. 1 runs the
+    folds in-process, as it must without fork or in a daemonic process (which
+    may not start children)."""
+    if multiprocessing.current_process().daemon or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(k, cpus)
+
+
+def _map_folds(inputs: _CVInputs, k: int) -> list[list[FoldEval]]:
+    """Every fold's evaluations, in fold order; a failing fold raises, the lowest
+    one first. Forked workers inherit inputs rather than unpickling it, and none
+    outlives the call."""
+    workers = _fold_workers(k)
+    if workers == 1:
+        return [_cv_fold(inputs, fold) for fold in range(k)]
+    with multiprocessing.get_context("fork").Pool(workers, _install_cv_inputs, (inputs,)) as pool:
+        results = list(pool.imap(_worker_cv_fold, range(k)))
+        pool.close()
+        pool.join()
+    return results
+
+
 def cross_validate_grid(
     corpus: Corpus,
     configs: Sequence[PipelineConfig],
@@ -590,12 +671,15 @@ def cross_validate_grid(
 ) -> list[EvaluationReport]:
     """k-fold cross validation of several configs; one report per config, in order.
 
-    The configs' one shared seed deals the folds once. Folds are the outer
-    loop, every fold rebuilds everything from its own training split, and
-    configs with one feature key share that split's features.
+    The configs' one shared seed deals the folds once. Every fold rebuilds
+    everything from its own training split, and configs with one feature key
+    share that split's features. Folds run in up to min(k, usable CPUs) forked
+    workers; the reports do not depend on their number.
     """
     if k < 2:
         raise ValueError(f"cross-validation needs k >= 2 folds, got {k}")
+    if not configs:
+        raise ValueError("no configs to cross-validate: the config list is empty")
     seeds = {config.seed for config in configs}
     if len(seeds) != 1:
         raise ValueError(f"cross-validated configs must share one seed, got {sorted(seeds)}")
@@ -608,15 +692,8 @@ def cross_validate_grid(
         folds = ", ".join(map(str, empty))
         raise CorpusError(f"{k} folds leave fold(s) {folds} without test posts (class sizes: {sizes})")
     tokens = _base_token_table(labeled, configs, stop_list)
-    fold_evals: list[list[FoldEval]] = [[] for _ in configs]
-    for fold in range(k):
-        train_posts = tuple(p for p in labeled if plan.assignment[p.id] != fold)
-        test_posts = [p for p in labeled if plan.assignment[p.id] == fold]
-        _require_labels(train_posts, f"fold {fold}: ")
-        evals = _evaluate_configs(train_posts, test_posts, configs, scoped, tokens)
-        for per_config, ev in zip(fold_evals, evals):
-            per_config.append(ev)
-    return [aggregate_report(evals, k) for evals in fold_evals]
+    inputs = _CVInputs(labeled, plan.assignment, configs, scoped, tokens)
+    return [aggregate_report(evals, k) for evals in zip(*_map_folds(inputs, k))]
 
 
 def cross_validate(

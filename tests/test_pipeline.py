@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 from collections import Counter
 from dataclasses import replace
 
@@ -202,18 +203,25 @@ class TestCrossValidate:
         assert EvaluationReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
 
 
+def grid_case():
+    """A seeded 90-post corpus, a stop list without rule words, both lexicons
+    and the 44 cells of table1-4."""
+    corpus = generate_corpus(n_posts=90, seed=5, vocab_size=20, rule_word_prob=0.1)
+    rules = rule_lexicons()
+    freq = Counter(t for p in corpus for t in tokenize(p.text))
+    stop = StopList(
+        frozenset([w for w, _ in freq.most_common() if w not in rules.negatory | rules.emphasizer][:3])
+    )
+    cells = [cell for table in GRID_NAMES for cell in grid_cells(table, PipelineConfig(svm_epochs=3, seed=5))]
+    return corpus, stop, rules, cells
+
+
 class TestCrossValidateGrid:
     """One driver call shares each fold's features between configs with one
     feature key; that sharing must never change a report."""
 
     def test_sharing_never_changes_a_report(self):
-        corpus = generate_corpus(n_posts=90, seed=5, vocab_size=20, rule_word_prob=0.1)
-        rules = rule_lexicons()
-        freq = Counter(t for p in corpus for t in tokenize(p.text))
-        stop = StopList(
-            frozenset([w for w, _ in freq.most_common() if w not in rules.negatory | rules.emphasizer][:3])
-        )
-        cells = [cell for table in GRID_NAMES for cell in grid_cells(table, PipelineConfig(svm_epochs=3, seed=5))]
+        corpus, stop, rules, cells = grid_case()
         twin = next(
             c for c in cells
             if (c.table, c.block, c.row, c.classifier) == ("table3", "IFrequency", "Unigrams bigrams", "nb")
@@ -240,6 +248,107 @@ class TestCrossValidateGrid:
         cfg = PipelineConfig(metric="count", classifier="svm", min_count=2, svm_lambda=1e-320)
         with pytest.raises(ValueError, match="stage 'subjectivity'.*non-finite.*svm_lambda=1e-320"):
             train_two_stage(separable_corpus, cfg)
+
+    def test_empty_config_list_rejected(self, separable_corpus):
+        with pytest.raises(ValueError, match="no configs to cross-validate"):
+            cross_validate_grid(separable_corpus, [], k=3)
+
+
+def force_workers(monkeypatch, n):
+    monkeypatch.setattr(pipeline, "_fold_workers", lambda k: n)
+
+
+def single_post_corpus(singles):
+    """Labeled posts of a seeded corpus, keeping only the first post of each
+    class in singles."""
+    seen = set()
+    posts = []
+    for post in generate_corpus(n_posts=60, seed=3):
+        if post.label in singles:
+            if post.label in seen:
+                continue
+            seen.add(post.label)
+        posts.append(post)
+    return Corpus(posts=tuple(posts))
+
+
+class TestPooledFolds:
+    """Folds run in forked workers or in-process; the worker count must never
+    show in a report or in which error is raised."""
+
+    def test_worker_count_never_changes_a_report(self, monkeypatch):
+        corpus, stop, rules, cells = grid_case()
+        configs = [cell.config for cell in cells]
+        runs = []
+        for n in (1, 2):
+            force_workers(monkeypatch, n)
+            runs.append(cross_validate_grid(corpus, configs, k=3, stop_list=stop, rules=rules))
+        assert len(runs[0]) == 44
+        assert runs[0] == runs[1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_class_missing_from_one_fold_names_that_fold(self, monkeypatch, workers):
+        corpus = single_post_corpus({"positive"})
+        single = next(p.id for p in corpus if p.label == "positive")
+
+        def fold_of_single(seed):
+            return split_folds(corpus, 4, seed, stratified=False).assignment[single]
+
+        # not fold 0, which a pool also starts first
+        seed = next(s for s in range(100) if fold_of_single(s) > 0)
+        fold = fold_of_single(seed)
+        force_workers(monkeypatch, workers)
+        with pytest.raises(ValueError, match=rf"^fold {fold}: no training posts labeled 'positive'$"):
+            cross_validate(corpus, replace(NB_CFG, seed=seed), k=4, stratified=False)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_lowest_failing_fold_is_reported(self, monkeypatch, workers):
+        corpus = single_post_corpus({"positive", "negative"})
+        ids = {p.label: p.id for p in corpus if p.label != "objective"}
+
+        def folds(seed):
+            plan = split_folds(corpus, 4, seed, stratified=False)
+            return plan.assignment[ids["positive"]], plan.assignment[ids["negative"]]
+
+        seed = next(s for s in range(100) if 0 < min(folds(s)) != max(folds(s)))
+        low, label = min(zip(folds(seed), ("positive", "negative")))
+        force_workers(monkeypatch, workers)
+        with pytest.raises(ValueError, match=rf"^fold {low}: no training posts labeled '{label}'$"):
+            cross_validate(corpus, replace(NB_CFG, seed=seed), k=4, stratified=False)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_follow_usable_cpus_and_folds(self, monkeypatch):
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert [pipeline._fold_workers(k) for k in (2, 3, 10)] == [2, 3, 3]
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0})
+        assert pipeline._fold_workers(10) == 1
+
+    def test_no_fork_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(pipeline.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert pipeline._fold_workers(10) == 1
+
+    def test_daemonic_caller_runs_in_process(self, monkeypatch, separable_corpus):
+        # two usable CPUs, so only the daemon check keeps the child from
+        # starting a pool, which daemonic processes may not do
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1})
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+
+        def child():
+            try:
+                results.put(("ok", pipeline._fold_workers(3), cross_validate(separable_corpus, NB_CFG, k=3)))
+            except Exception as exc:  # report it to the parent instead of dying silently
+                results.put(("error", repr(exc), None))
+
+        proc = ctx.Process(target=child, daemon=True)
+        proc.start()
+        outcome = results.get(timeout=60)
+        proc.join(timeout=60)
+        assert outcome == ("ok", 1, cross_validate(separable_corpus, NB_CFG, k=3))
+        assert proc.exitcode == 0
 
 
 class TestNoLeakage:
