@@ -34,7 +34,6 @@ class NBModel:
     classes: tuple[str, str]  # (positive-class tag, negative-class tag)
     class_log_prior: dict[str, float]
     feature_log_likelihood: dict[str, np.ndarray]
-    smoothing: float
     vocab_size: int
     class_counts: dict[str, int]
 
@@ -111,7 +110,6 @@ def train_nb(
         classes=classes,
         class_log_prior=class_log_prior,
         feature_log_likelihood=feature_log_likelihood,
-        smoothing=smoothing,
         vocab_size=vocab_size,
         class_counts=class_counts,
     )
@@ -134,17 +132,9 @@ def predict_nb(model: NBModel, x: FeatureVector) -> Prediction:
 
 
 @dataclass(frozen=True)
-class SVMHyperparams:
-    lambda_: float
-    epochs: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class SVMModel:
     weights: np.ndarray
     bias: float
-    hyperparams: SVMHyperparams
     n_pos: int
     n_neg: int
 
@@ -228,7 +218,6 @@ def train_svm(
     return SVMModel(
         weights=(h * np.array(u) - np.array(z)) / (lambda_ * t),
         bias=b_sum / t,
-        hyperparams=SVMHyperparams(lambda_=lambda_, epochs=epochs, seed=seed),
         n_pos=n_pos,
         n_neg=n - n_pos,
     )

@@ -14,9 +14,11 @@ from typing import Optional
 
 from . import __version__
 from .corpus import CorpusError, load_corpus
-from .features import METRICS, RULE_MODE_OFF, RULE_MODES, RuleLexicons
+from .features import METRICS, NGRAM_SIZES, RULE_MODE_OFF, RULE_MODES, RuleLexicons
 from .ioutil import atomic_write_text
 from .pipeline import (
+    CLASSIFIER_NB,
+    CLASSIFIER_SVM,
     CLASSIFIERS,
     GRID_NAMES,
     RULE_SCOPE_BOTH,
@@ -36,8 +38,6 @@ from .pipeline import (
 )
 from .preprocess import StopList, load_stop_list, load_word_list
 from .stats import MoodTable, emit_report, mood_by_month, mood_by_topic
-
-NGRAM_CHOICES = ("unigrams", "bigrams", "unigrams+bigrams")
 
 
 def _parse_rules_spec(spec: str) -> tuple[RuleLexicons, str, dict]:
@@ -71,18 +71,19 @@ def _parse_rules_spec(spec: str) -> tuple[RuleLexicons, str, dict]:
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--metric", choices=METRICS, default="ifrequency")
-    parser.add_argument("--classifier", choices=CLASSIFIERS, default="svm")
-    parser.add_argument("--ngrams", choices=NGRAM_CHOICES, default="unigrams")
-    parser.add_argument("--rule-mode", choices=RULE_MODES, default=RULE_MODE_OFF)
+    default = PipelineConfig()
+    parser.add_argument("--metric", choices=METRICS, default=default.metric)
+    parser.add_argument("--classifier", choices=CLASSIFIERS, default=default.classifier)
+    parser.add_argument("--ngrams", choices=tuple(NGRAM_SIZES), default=default.ngrams)
+    parser.add_argument("--rule-mode", choices=RULE_MODES, default=default.rule_mode)
     parser.add_argument("--rules", metavar="neg=FILE,emp=FILE", help="rule lexicon files")
     parser.add_argument("--stop-words", metavar="FILE", help="stop list; enables stop-word removal")
     parser.add_argument("--stem", action="store_true", help="enable successor-variety stemming")
-    parser.add_argument("--min-count", type=int, default=5, metavar="N")
-    parser.add_argument("--seed", type=int, default=0, metavar="N")
-    parser.add_argument("--nb-smoothing", type=float, default=1.0, metavar="A")
-    parser.add_argument("--svm-lambda", type=float, default=0.01, metavar="L")
-    parser.add_argument("--svm-epochs", type=int, default=30, metavar="E")
+    parser.add_argument("--min-count", type=int, default=default.min_count, metavar="N")
+    parser.add_argument("--seed", type=int, default=default.seed, metavar="N")
+    parser.add_argument("--nb-smoothing", type=float, default=default.nb_smoothing, metavar="A")
+    parser.add_argument("--svm-lambda", type=float, default=default.svm_lambda, metavar="L")
+    parser.add_argument("--svm-epochs", type=int, default=default.svm_epochs, metavar="E")
 
 
 def _build_inputs(args) -> tuple[PipelineConfig, Optional[StopList], Optional[RuleLexicons], dict]:
@@ -154,13 +155,7 @@ def _render_grid(table: str, results: list[tuple[GridCell, EvaluationReport]]) -
         width = max(len(r) for r in rows) + 2
         lines.append(f"{block:<{width}}   SVM     NB")
         for row, by_clf in rows.items():
-            svm = by_clf.get("svm")
-            nb = by_clf.get("nb")
-            lines.append(
-                f"{row:<{width}}  {svm:.2f}    {nb:.2f}"
-                if svm is not None and nb is not None
-                else f"{row:<{width}}  {svm}    {nb}"
-            )
+            lines.append(f"{row:<{width}}  {by_clf[CLASSIFIER_SVM]:.2f}    {by_clf[CLASSIFIER_NB]:.2f}")
         lines.append("")
     return "\n".join(lines)
 

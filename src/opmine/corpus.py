@@ -90,12 +90,6 @@ class Corpus:
     def labeled(self) -> tuple[Post, ...]:
         return tuple(p for p in self.posts if p.is_labeled)
 
-    def by_id(self, post_id: str) -> Post:
-        for post in self.posts:
-            if post.id == post_id:
-                return post
-        raise KeyError(post_id)
-
 
 @dataclass(frozen=True)
 class FoldPlan:
@@ -103,9 +97,6 @@ class FoldPlan:
 
     k: int
     assignment: dict[str, int] = field(hash=False)
-
-    def fold_ids(self, fold: int) -> tuple[str, ...]:
-        return tuple(pid for pid, f in self.assignment.items() if f == fold)
 
 
 def _post_from_record(record: dict, line_no: int) -> Post:

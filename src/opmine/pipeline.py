@@ -15,6 +15,7 @@ import multiprocessing
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -72,6 +73,10 @@ STAGE_CLASSES = {
 }
 
 
+# the types a PipelineConfig field of each annotation accepts
+_FIELD_TYPES = {"str": (str,), "bool": (bool,), "int": (int,), "float": (int, float)}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything that determines a trained pipeline besides the corpus itself."""
@@ -90,6 +95,11 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # type(), not isinstance(): a bool is an int but no count or knob
+            if type(value) not in _FIELD_TYPES[f.type]:
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.classifier not in CLASSIFIERS:
@@ -123,7 +133,6 @@ class StageModel:
     scorer ``bias + weights . x`` that either classifier reduces to; ``decide``
     turns a score into one of the classes."""
 
-    name: str
     classes: tuple[str, str]  # (positive-role label, negative-role label)
     dictionary: FeatureDictionary
     weights: np.ndarray
@@ -270,7 +279,6 @@ def _fit_stage(
             f"({knob}={getattr(config, knob)})"
         )
     return StageModel(
-        name=name,
         classes=classes,
         dictionary=dictionary,
         weights=weights,
@@ -386,15 +394,6 @@ def classify_post(model: TwoStageModel, text: str, post_id: str = "?") -> PostCl
     )
 
 
-def accuracy(predicted: Sequence[str], gold: Sequence[str]) -> float:
-    """Fraction of exact matches between two equal-length non-empty label lists."""
-    if len(predicted) != len(gold):
-        raise ValueError(f"length mismatch: {len(predicted)} predictions vs {len(gold)} gold labels")
-    if not gold:
-        raise ValueError("cannot compute accuracy of empty lists")
-    return sum(p == g for p, g in zip(predicted, gold)) / len(gold)
-
-
 @dataclass(frozen=True)
 class FoldEval:
     """Raw per-fold tallies; aggregation happens in aggregate_report."""
@@ -429,11 +428,6 @@ class EvaluationReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvaluationReport":
-        # JSON turns the per-fold tuples into lists
-        return cls(**{k: tuple(v) if k.startswith("fold_") else v for k, v in data.items()})
 
 
 def aggregate_report(fold_evals: Sequence[FoldEval], k: int) -> EvaluationReport:
@@ -871,13 +865,25 @@ def _word_list(what: str, value: object, used: bool) -> Optional[frozenset[str]]
     return frozenset(value)
 
 
-def _dictionary_from_payload(payload: dict) -> FeatureDictionary:
-    entries = {tuple(g): i for i, g in enumerate(payload["ngrams"])}
+def _dictionary_from_payload(payload: dict, ngrams: str) -> FeatureDictionary:
+    """Rebuild a stored dictionary; its n-gram sizes must be those of the config."""
+    sizes = NGRAM_SIZES[ngrams]
+    if payload["sizes"] != list(sizes):
+        raise ValueError(f"sizes must be {list(sizes)} for ngrams={ngrams!r}, got {payload['sizes']!r}")
+    grams, doc_freq, n_docs = payload["ngrams"], payload["doc_freq"], payload["n_docs"]
+    if not (
+        isinstance(grams, list) and grams and set(map(type, grams)) == {list}
+        and set(map(len, grams)) <= set(sizes) and set(map(type, chain.from_iterable(grams))) == {str}
+    ):
+        raise ValueError(f"ngrams must be a non-empty list of string lists of a length in {sizes}")
+    # type(), not isinstance(): a bool is an int but no count
+    if not (isinstance(doc_freq, list) and set(map(type, [*doc_freq, n_docs])) == {int}):
+        raise ValueError("doc_freq and n_docs must be integers")
     return FeatureDictionary(
-        entries=entries,
-        doc_freq=tuple(payload["doc_freq"]),
-        n_docs=payload["n_docs"],
-        ngram_sizes=tuple(payload["sizes"]),
+        entries={tuple(g): i for i, g in enumerate(grams)},
+        doc_freq=tuple(doc_freq),
+        n_docs=n_docs,
+        ngram_sizes=sizes,
     )
 
 
@@ -887,7 +893,7 @@ def _stage_from_payload(name: str, payload: object, config: PipelineConfig) -> S
     _check_keys(where, payload, _STAGE_KEYS)
     _check_keys(f"{where} dictionary", payload["dictionary"], _DICTIONARY_KEYS)
     try:
-        dictionary = _dictionary_from_payload(payload["dictionary"])
+        dictionary = _dictionary_from_payload(payload["dictionary"], config.ngrams)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"{where} dictionary: {exc}") from exc
     actual = dictionary_fingerprint(dictionary)
@@ -923,7 +929,6 @@ def _stage_from_payload(name: str, payload: object, config: PipelineConfig) -> S
         raise ModelFormatError(f"{where} stem_vocabulary must not be empty")
     trie = build_suffix_trie(stems) if config.stemming else None
     return StageModel(
-        name=name,
         classes=classes,
         dictionary=dictionary,
         weights=values[:-1],

@@ -55,31 +55,15 @@ def remove_stop_words(tokens: list[str], stop: StopList) -> list[str]:
     return [t for t in tokens if t not in stop]
 
 
-class TrieNode:
-    __slots__ = ("children", "terminal", "count")
-
-    def __init__(self) -> None:
-        self.children: dict[str, TrieNode] = {}
-        self.terminal = False
-        self.count = 0  # number of inserted words whose prefix reaches this node
-
-
 @dataclass(frozen=True)
 class SuffixTrie:
-    """Prefix trie over a vocabulary, with pass-through counts at every node,
-    and the memo of ``stem_tokens`` (min_stem_len -> word -> stem)."""
+    """Prefix trie over a vocabulary as nested dicts (character -> child node),
+    and the memo of ``stem_tokens`` (word -> stem). A trie is a function of its
+    vocabulary, so only the vocabulary takes part in equality and hashing."""
 
-    root: TrieNode
-    vocabulary: frozenset[str] = field(hash=False)
-    stems: dict[int, dict[str, str]] = field(default_factory=dict, compare=False, hash=False, repr=False)
-
-    def node_at(self, prefix: str) -> TrieNode | None:
-        node = self.root
-        for ch in prefix:
-            node = node.children.get(ch)
-            if node is None:
-                return None
-        return node
+    root: dict = field(compare=False, repr=False)
+    vocabulary: frozenset[str]
+    stems: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
 
 
 def build_suffix_trie(vocabulary: Iterable[str]) -> SuffixTrie:
@@ -87,14 +71,11 @@ def build_suffix_trie(vocabulary: Iterable[str]) -> SuffixTrie:
     words = frozenset(vocabulary)
     if not words:
         raise ValueError("cannot build a suffix trie from an empty vocabulary")
-    root = TrieNode()
+    root: dict = {}
     for word in words:
-        root.count += 1
         node = root
         for ch in word:
-            node = node.children.setdefault(ch, TrieNode())
-            node.count += 1
-        node.terminal = True
+            node = node.setdefault(ch, {})
     return SuffixTrie(root=root, vocabulary=words)
 
 
@@ -102,37 +83,37 @@ def successor_variety(trie: SuffixTrie, word: str, i: int) -> int:
     """Number of distinct characters following word[:i] among vocabulary words."""
     if not 0 <= i <= len(word):
         raise ValueError(f"position {i} out of range for word {word!r}")
-    node = trie.node_at(word[:i])
-    if node is None:
+    vs = _variety_sequence(trie, word[:i])
+    if len(vs) <= i:
         raise ValueError(f"prefix {word[:i]!r} not present in the trie")
-    return len(node.children)
+    return vs[i]
 
 
 def _variety_sequence(trie: SuffixTrie, word: str) -> list[int]:
     """v(0..L) where L is the deepest position whose prefix stays inside the trie."""
-    vs = [len(trie.root.children)]
+    vs = [len(trie.root)]
     node = trie.root
     for ch in word:
-        node = node.children.get(ch)
+        node = node.get(ch)
         if node is None:
             break
-        vs.append(len(node.children))
+        vs.append(len(node))
     return vs
 
 
-def stem(trie: SuffixTrie, word: str, min_stem_len: int = MIN_STEM_LEN) -> str:
+def stem(trie: SuffixTrie, word: str) -> str:
     """Cut a word at the first peak or plateau of its successor-variety sequence.
 
     A peak at position b means v(b) > v(b-1) and v(b) >= v(b+1) (a position past
     the known prefixes counts as variety 0); a plateau onset means
-    v(b) == v(b-1) with v(b) > 1. The earliest such b >= min_stem_len wins.
-    Words shorter than min_stem_len, or with no peak/plateau, come back unchanged.
+    v(b) == v(b-1) with v(b) > 1. The earliest such b >= MIN_STEM_LEN wins.
+    Words shorter than MIN_STEM_LEN, or with no peak/plateau, come back unchanged.
     """
-    if len(word) < min_stem_len:
+    if len(word) < MIN_STEM_LEN:
         return word
     vs = _variety_sequence(trie, word)
     deepest = len(vs) - 1
-    for b in range(min_stem_len, deepest + 1):
+    for b in range(MIN_STEM_LEN, deepest + 1):
         nxt = vs[b + 1] if b + 1 <= deepest else 0
         if vs[b] > vs[b - 1] and vs[b] >= nxt:
             return word[:b]
@@ -141,13 +122,13 @@ def stem(trie: SuffixTrie, word: str, min_stem_len: int = MIN_STEM_LEN) -> str:
     return word
 
 
-def stem_tokens(trie: SuffixTrie, tokens: list[str], min_stem_len: int = MIN_STEM_LEN) -> list[str]:
+def stem_tokens(trie: SuffixTrie, tokens: list[str]) -> list[str]:
     """``stem`` of every token; each distinct word is stemmed once per trie."""
-    memo = trie.stems.setdefault(min_stem_len, {})
+    memo = trie.stems
     out = []
     for token in tokens:
         stemmed = memo.get(token)
         if stemmed is None:
-            stemmed = memo[token] = stem(trie, token, min_stem_len)
+            stemmed = memo[token] = stem(trie, token)
         out.append(stemmed)
     return out

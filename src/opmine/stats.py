@@ -94,12 +94,3 @@ def emit_report(table: MoodTable, path: str | Path, fmt: str = "csv") -> None:
         raise ValueError(f"unknown report format {fmt!r}")
     atomic_write_text(Path(path), text)
 
-
-def read_report(path: str | Path) -> MoodTable:
-    """Parse a JSON mood report back into a table (inverse of emit_report(json))."""
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    rows = {}
-    for entry in payload:
-        rows[entry["key"]] = MoodRow(positive=entry["positive"], negative=entry["negative"])
-    return MoodTable(rows=rows)

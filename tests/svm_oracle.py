@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from opmine.classify import SVMHyperparams, SVMModel
+from opmine.classify import SVMModel
 from opmine.features import FeatureVector
 
 
@@ -111,7 +111,6 @@ def train_svm_dense(
     return SVMModel(
         weights=w_sum / t,
         bias=b_sum / t,
-        hyperparams=SVMHyperparams(lambda_=lambda_, epochs=epochs, seed=seed),
         n_pos=n_pos,
         n_neg=n - n_pos,
     )

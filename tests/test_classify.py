@@ -258,7 +258,7 @@ class TestSVMPrediction:
         vectors, labels, _ = make_separable_2d(n=10)
         model = train_svm(vectors, labels, lambda_=0.1, epochs=1, seed=0)
         zeroed = type(model)(
-            weights=np.zeros(2), bias=0.0, hyperparams=model.hyperparams,
+            weights=np.zeros(2), bias=0.0,
             n_pos=model.n_pos, n_neg=model.n_neg,
         )
         pred = predict_svm(zeroed, vec({0: 3.0}))
@@ -275,7 +275,7 @@ class TestSVMPrediction:
         vectors, labels, _ = make_separable_2d(n=20)
         model = train_svm(vectors, labels, lambda_=0.1, epochs=8, seed=1)
         unbiased = type(model)(
-            weights=model.weights, bias=0.0, hyperparams=model.hyperparams,
+            weights=model.weights, bias=0.0,
             n_pos=model.n_pos, n_neg=model.n_neg,
         )
         x = vec({0: 0.7, 1: -1.1})

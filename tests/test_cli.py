@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -185,6 +186,64 @@ def _assert_one_error_line(capsys, rc, hint):
     assert len(err) == 1
     assert err[0].startswith("error:")
     assert hint in err[0]
+
+
+@pytest.fixture(scope="module")
+def bigram_model_file(tmp_path_factory, corpus_file):
+    out = tmp_path_factory.mktemp("bigram-model") / "model.json"
+    rc = main(
+        ["train", str(corpus_file), "--out", str(out), "--metric", "presence",
+         "--classifier", "nb", "--min-count", "2", "--ngrams", "unigrams+bigrams"]
+    )
+    assert rc == 0
+    return out
+
+
+SUBJECTIVITY = ("stages", "subjectivity")
+DICTIONARY = (*SUBJECTIVITY, "dictionary")
+
+MISTYPED_MODELS = [
+    # ({path to an edited value: new value}, text the error must name); the
+    # subjectivity stage, which scores every text, gets a fresh fingerprint
+    pytest.param({(*DICTIONARY, "sizes"): ["a"]}, "sizes", id="string-size"),
+    pytest.param({(*DICTIONARY, "sizes"): [3]}, "sizes", id="trigram-size"),
+    pytest.param({(*DICTIONARY, "sizes"): [1]}, "sizes", id="sizes-without-bigrams"),
+    pytest.param({(*DICTIONARY, "sizes"): []}, "sizes", id="no-sizes"),
+    pytest.param({(*DICTIONARY, "ngrams", 0): [1, 2]}, "ngrams", id="int-ngram"),
+    pytest.param({(*DICTIONARY, "ngrams", 0): []}, "ngrams", id="empty-ngram"),
+    pytest.param({(*DICTIONARY, "ngrams", 0): ["a", "b", "c"]}, "ngrams", id="trigram"),
+    pytest.param({(*DICTIONARY, "doc_freq", 0): 1.5}, "doc_freq", id="float-doc-freq"),
+    pytest.param({(*DICTIONARY, "doc_freq", 0): True}, "doc_freq", id="bool-doc-freq"),
+    pytest.param({(*DICTIONARY, "n_docs"): 1e9}, "n_docs", id="float-n-docs"),
+    pytest.param(
+        {(*DICTIONARY, "ngrams"): [], (*DICTIONARY, "doc_freq"): [], (*SUBJECTIVITY, "weights"): []},
+        "ngrams",
+        id="empty-dictionary",
+    ),
+    pytest.param({("config", "min_count"): 2.5}, "min_count", id="float-min-count"),
+    pytest.param({("config", "svm_epochs"): 1.5}, "svm_epochs", id="float-epochs"),
+    pytest.param({("config", "svm_lambda"): True}, "svm_lambda", id="bool-lambda"),
+    pytest.param({("config", "nb_smoothing"): "1"}, "nb_smoothing", id="string-smoothing"),
+    pytest.param({("config", "seed"): "x"}, "seed", id="string-seed"),
+    pytest.param({("config", "stemming"): 1}, "stemming", id="int-stemming"),
+]
+
+
+@pytest.mark.parametrize("edits, hint", MISTYPED_MODELS)
+def test_mistyped_model_fails_with_one_error_line(bigram_model_file, tmp_path, capsys, edits, hint):
+    payload = json.loads(bigram_model_file.read_text(encoding="utf-8"))
+    for keys, value in edits.items():
+        *parents, last = keys
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    stage = payload["stages"]["subjectivity"]
+    blob = json.dumps(stage["dictionary"], sort_keys=True, ensure_ascii=False)
+    stage["fingerprint"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    _assert_one_error_line(capsys, main(["classify", "--model", str(path), "--text", "добро"]), hint)
 
 
 @pytest.mark.parametrize(

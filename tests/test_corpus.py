@@ -112,8 +112,9 @@ def test_ten_posts_ten_folds_pigeonhole():
 def test_exact_stratification():
     corpus = _posts(["positive", "negative", "objective"] * 10)
     plan = split_folds(corpus, k=10, seed=3, stratified=True)
+    label_of = {p.id: p.label for p in corpus}
     for fold in range(10):
-        labels = [corpus.by_id(pid).label for pid in plan.fold_ids(fold)]
+        labels = [label_of[pid] for pid, f in plan.assignment.items() if f == fold]
         assert sorted(labels) == ["negative", "objective", "positive"]
 
 
@@ -176,7 +177,7 @@ def test_folds_partition_labeled_set(labels, k, seed, stratified):
                 sum(
                     1
                     for pid, f in plan.assignment.items()
-                    if f == fold and corpus.by_id(pid).label == cls
+                    if f == fold and next(p for p in corpus if p.id == pid).label == cls
                 )
                 for fold in range(k)
             ]

@@ -7,17 +7,15 @@ import numpy as np
 import pytest
 
 from opmine import pipeline
-from opmine.classify import SVMHyperparams, SVMModel, predict_nb, predict_svm
+from opmine.classify import SVMModel, predict_nb, predict_svm
 from opmine.corpus import Corpus, CorpusError, Post, split_folds
 from opmine.features import METRICS, FeatureVector, RuleLexicons
 from opmine.pipeline import (
     GRID_NAMES,
     STAGE_CLASSES,
-    EvaluationReport,
     ModelFormatError,
     PipelineConfig,
     _predict_stage,
-    accuracy,
     aggregate_report,
     classify_post,
     cross_validate,
@@ -60,6 +58,26 @@ class TestConfig:
         ):
             with pytest.raises(ValueError):
                 PipelineConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("min_count", 2.5),
+            ("min_count", True),
+            ("svm_epochs", 1.5),
+            ("seed", "x"),
+            ("seed", 1.0),
+            ("nb_smoothing", "1"),
+            ("nb_smoothing", True),
+            ("svm_lambda", True),
+            ("stop_words", 1),
+            ("stemming", "yes"),
+            ("ngrams", ["unigrams"]),
+        ],
+    )
+    def test_rejects_wrong_types(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            PipelineConfig(**{name: value})
 
     def test_dict_round_trip(self):
         cfg = PipelineConfig(metric="presence", classifier="nb", seed=9)
@@ -130,21 +148,6 @@ class TestClassifyPost:
         assert first.label in ("positive", "negative", "objective")
 
 
-class TestAccuracy:
-    def test_exact_match_fraction(self):
-        assert accuracy(["a", "b"], ["a", "b"]) == 1.0
-        assert accuracy(["a", "b"], ["b", "a"]) == 0.0
-        assert accuracy(["a", "b", "c", "d"], ["a", "b", "c", "x"]) == 0.75
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            accuracy(["a"], ["a", "b"])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            accuracy([], [])
-
-
 class TestCrossValidate:
     def test_separable_corpus_is_perfect(self, separable_corpus):
         cfg = PipelineConfig(metric="ifrequency", classifier="svm", min_count=2)
@@ -196,11 +199,6 @@ class TestCrossValidate:
         assert cross_validate(separable_corpus, cfg, k=3) == cross_validate(
             separable_corpus, cfg, k=3
         )
-
-    def test_report_dict_round_trip(self, separable_corpus):
-        cfg = PipelineConfig(metric="count", classifier="nb", min_count=2)
-        report = cross_validate(separable_corpus, cfg, k=3)
-        assert EvaluationReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
 
 
 def grid_case():
@@ -505,7 +503,6 @@ class TestLinearStages:
         svm = SVMModel(
             weights=tied.weights,
             bias=0.0,
-            hyperparams=SVMHyperparams(lambda_=0.01, epochs=1, seed=0),
             n_pos=counts[0],
             n_neg=counts[1],
         )

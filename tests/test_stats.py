@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opmine.corpus import Post
-from opmine.stats import MoodRow, MoodTable, emit_report, mood_by_month, mood_by_topic, read_report
+from opmine.stats import MoodRow, MoodTable, emit_report, mood_by_month, mood_by_topic
 
 
 def post(i, topic=None, month=None):
@@ -95,7 +95,8 @@ def test_json_round_trip(tmp_path):
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload[0]["mood"] == pytest.approx(1 / 3)
     assert payload[1]["mood"] is None
-    assert read_report(out) == table
+    rows = {e["key"]: MoodRow(positive=e["positive"], negative=e["negative"]) for e in payload}
+    assert MoodTable(rows=rows) == table
 
 
 def test_unknown_format_rejected(tmp_path):
