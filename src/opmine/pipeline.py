@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -342,15 +342,15 @@ def train_two_stage(
     rules = _checked_rules(config, stop_list, rules)
     labeled = corpus.labeled()
     _require_labels(labeled)
-    # one stage at a time, so the first stage's vectors are freed before the second's
-    stages = {
-        name: _train_stage(name, [labeled[i] for i in rows], labels, config, stop_list, rules)
+    # the stages share nothing but their inputs, so each may run in its own worker
+    subjectivity, polarity = _fork_map(_train_stage, [
+        (name, [labeled[i] for i in rows], labels, config, stop_list, rules)
         for name, (rows, labels) in _stage_rows(labeled).items()
-    }
+    ])
     return TwoStageModel(
         config=config,
-        subjectivity=stages[STAGE_SUBJECTIVITY],
-        polarity=stages[STAGE_POLARITY],
+        subjectivity=subjectivity,
+        polarity=polarity,
         stop_list=stop_list if config.stop_words else None,
         rules=rules,
     )
@@ -615,23 +615,10 @@ def _cv_fold(inputs: _CVInputs, fold: int) -> list[FoldEval]:
     return _evaluate_configs(train_posts, test_posts, inputs.configs, inputs.scoped, inputs.tokens)
 
 
-_worker_inputs: Optional[_CVInputs] = None  # set only in a forked fold worker
-
-
-def _install_cv_inputs(inputs: _CVInputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _worker_cv_fold(fold: int) -> list[FoldEval]:
-    assert _worker_inputs is not None
-    return _cv_fold(_worker_inputs, fold)
-
-
 def _fold_workers(k: int) -> int:
-    """Forked fold workers for k folds: one per usable CPU, at most k. 1 runs the
-    folds in-process, as it must without fork or in a daemonic process (which
-    may not start children)."""
+    """Forked workers for k jobs (folds or stages): one per usable CPU, at most
+    k. 1 runs the jobs in-process, as it must without fork or in a daemonic
+    process (which may not start children)."""
     if multiprocessing.current_process().daemon or "fork" not in multiprocessing.get_all_start_methods():
         return 1
     try:
@@ -641,15 +628,29 @@ def _fold_workers(k: int) -> int:
     return min(k, cpus)
 
 
-def _map_folds(inputs: _CVInputs, k: int) -> list[list[FoldEval]]:
-    """Every fold's evaluations, in fold order; a failing fold raises, the lowest
-    one first. Forked workers inherit inputs rather than unpickling it, and none
-    outlives the call."""
-    workers = _fold_workers(k)
+_worker_job: Optional[tuple[Callable, Sequence[tuple]]] = None  # set only in a forked worker
+
+
+def _install_job(job: Callable, calls: Sequence[tuple]) -> None:
+    global _worker_job
+    _worker_job = job, calls
+
+
+def _worker_call(i: int):
+    assert _worker_job is not None
+    job, calls = _worker_job
+    return job(*calls[i])
+
+
+def _fork_map(job: Callable, calls: Sequence[tuple]) -> list:
+    """job(*args) for each args of calls, in order; a failing call raises, the
+    lowest one first. Forked workers inherit job and calls rather than
+    unpickling them, and none outlives the call."""
+    workers = _fold_workers(len(calls))
     if workers == 1:
-        return [_cv_fold(inputs, fold) for fold in range(k)]
-    with multiprocessing.get_context("fork").Pool(workers, _install_cv_inputs, (inputs,)) as pool:
-        results = list(pool.imap(_worker_cv_fold, range(k)))
+        return [job(*args) for args in calls]
+    with multiprocessing.get_context("fork").Pool(workers, _install_job, (job, calls)) as pool:
+        results = list(pool.imap(_worker_call, range(len(calls))))
         pool.close()
         pool.join()
     return results
@@ -687,7 +688,8 @@ def cross_validate_grid(
         raise CorpusError(f"{k} folds leave fold(s) {folds} without test posts (class sizes: {sizes})")
     tokens = _base_token_table(labeled, configs, stop_list)
     inputs = _CVInputs(labeled, plan.assignment, configs, scoped, tokens)
-    return [aggregate_report(evals, k) for evals in zip(*_map_folds(inputs, k))]
+    folds = _fork_map(_cv_fold, [(inputs, fold) for fold in range(k)])
+    return [aggregate_report(evals, k) for evals in zip(*folds)]
 
 
 def cross_validate(
@@ -879,6 +881,10 @@ def _dictionary_from_payload(payload: dict, ngrams: str) -> FeatureDictionary:
     # type(), not isinstance(): a bool is an int but no count
     if not (isinstance(doc_freq, list) and set(map(type, [*doc_freq, n_docs])) == {int}):
         raise ValueError("doc_freq and n_docs must be integers")
+    try:
+        float(n_docs)  # ifrequency divides it as a float
+    except OverflowError:
+        raise ValueError("n_docs must convert to a finite float") from None
     return FeatureDictionary(
         entries={tuple(g): i for i, g in enumerate(grams)},
         doc_freq=tuple(doc_freq),

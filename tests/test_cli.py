@@ -229,9 +229,10 @@ MISTYPED_MODELS = [
 ]
 
 
-@pytest.mark.parametrize("edits, hint", MISTYPED_MODELS)
-def test_mistyped_model_fails_with_one_error_line(bigram_model_file, tmp_path, capsys, edits, hint):
-    payload = json.loads(bigram_model_file.read_text(encoding="utf-8"))
+def _tampered_copy(model_path, edits, path):
+    """Write model_path with edits applied to path; the subjectivity stage gets
+    a fresh fingerprint, so only the edited values can fail."""
+    payload = json.loads(model_path.read_text(encoding="utf-8"))
     for keys, value in edits.items():
         *parents, last = keys
         target = payload
@@ -241,9 +242,26 @@ def test_mistyped_model_fails_with_one_error_line(bigram_model_file, tmp_path, c
     stage = payload["stages"]["subjectivity"]
     blob = json.dumps(stage["dictionary"], sort_keys=True, ensure_ascii=False)
     stage["fingerprint"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    path = tmp_path / "tampered.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("edits, hint", MISTYPED_MODELS)
+def test_mistyped_model_fails_with_one_error_line(bigram_model_file, tmp_path, capsys, edits, hint):
+    path = _tampered_copy(bigram_model_file, edits, tmp_path / "tampered.json")
     _assert_one_error_line(capsys, main(["classify", "--model", str(path), "--text", "добро"]), hint)
+
+
+def test_n_docs_beyond_float_range_fails_with_one_error_line(corpus_file, tmp_path, capsys):
+    # ifrequency divides n_docs by a document frequency, which overflows a float
+    model = tmp_path / "model.json"
+    rc = main(["train", str(corpus_file), "--out", str(model), "--metric", "ifrequency",
+               "--classifier", "nb", "--min-count", "2"])
+    assert rc == 0
+    capsys.readouterr()
+    path = _tampered_copy(model, {(*DICTIONARY, "n_docs"): 10**400}, tmp_path / "tampered.json")
+    text = load_corpus(corpus_file).posts[0].text
+    _assert_one_error_line(capsys, main(["classify", "--model", str(path), "--text", text]), "n_docs")
 
 
 @pytest.mark.parametrize(

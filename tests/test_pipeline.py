@@ -242,10 +242,14 @@ class TestCrossValidateGrid:
         with pytest.raises(ValueError, match="one seed"):
             cross_validate_grid(separable_corpus, [NB_CFG, replace(NB_CFG, seed=1)], k=3)
 
-    def test_non_finite_fit_rejected(self, separable_corpus):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_fit_rejected(self, monkeypatch, separable_corpus, workers):
+        # both stages overflow; the first stage's error is the one raised
         cfg = PipelineConfig(metric="count", classifier="svm", min_count=2, svm_lambda=1e-320)
+        force_workers(monkeypatch, workers)
         with pytest.raises(ValueError, match="stage 'subjectivity'.*non-finite.*svm_lambda=1e-320"):
             train_two_stage(separable_corpus, cfg)
+        assert multiprocessing.active_children() == []
 
     def test_empty_config_list_rejected(self, separable_corpus):
         with pytest.raises(ValueError, match="no configs to cross-validate"):
@@ -346,6 +350,63 @@ class TestPooledFolds:
         outcome = results.get(timeout=60)
         proc.join(timeout=60)
         assert outcome == ("ok", 1, cross_validate(separable_corpus, NB_CFG, k=3))
+        assert proc.exitcode == 0
+
+
+def pooled_train_case(clf):
+    """grid_case's corpus, stop list and lexicons, with a config that uses all
+    three and the stemming trie, on unigrams+bigrams."""
+    corpus, stop, rules, _ = grid_case()
+    cfg = PipelineConfig(
+        metric="ifrequency",
+        classifier=clf,
+        ngrams="unigrams+bigrams",
+        rule_mode="signed-count",
+        stop_words=True,
+        stemming=True,
+        min_count=2,
+        svm_epochs=3,
+        seed=5,
+    )
+    return corpus, cfg, stop, rules
+
+
+class TestPooledTrain:
+    """The two stages train in forked workers or in-process; the worker count
+    must never show in a model's bytes or in which error is raised."""
+
+    @pytest.mark.parametrize("clf", ["nb", "svm"])
+    def test_worker_count_never_changes_a_model(self, monkeypatch, clf):
+        corpus, cfg, stop, rules = pooled_train_case(clf)
+        models = []
+        for n in (2, 1):
+            force_workers(monkeypatch, n)
+            models.append(train_two_stage(corpus, cfg, stop_list=stop, rules=rules))
+        assert models[0].polarity.stem_trie is not None and models[0].stop_list == stop
+        assert model_to_json(models[0]) == model_to_json(models[1])
+        assert multiprocessing.active_children() == []
+
+    def test_daemonic_caller_trains_in_process(self, monkeypatch):
+        # two usable CPUs, so only the daemon check keeps the child from
+        # starting a pool, which daemonic processes may not do
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1})
+        corpus, cfg, stop, rules = pooled_train_case("svm")
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+
+        def child():
+            try:
+                model = train_two_stage(corpus, cfg, stop_list=stop, rules=rules)
+                results.put(("ok", pipeline._fold_workers(2), model_to_json(model)))
+            except Exception as exc:  # report it to the parent instead of dying silently
+                results.put(("error", repr(exc), None))
+
+        proc = ctx.Process(target=child, daemon=True)
+        proc.start()
+        outcome = results.get(timeout=60)
+        proc.join(timeout=60)
+        expected = model_to_json(train_two_stage(corpus, cfg, stop_list=stop, rules=rules))
+        assert outcome == ("ok", 1, expected)
         assert proc.exitcode == 0
 
 
@@ -455,6 +516,7 @@ class TestLinearStages:
     @pytest.mark.parametrize("clf", ["nb", "svm"])
     def test_stage_scores_equal_classifier_predictions(self, monkeypatch, clf):
         fits = record_fits(monkeypatch, f"train_{clf}")
+        force_workers(monkeypatch, 1)  # the fits are recorded in this process
         corpus = generate_corpus(n_posts=90, seed=31, shared_fraction=0.3)
         cfg = PipelineConfig(
             metric="ifrequency",
@@ -484,6 +546,7 @@ class TestLinearStages:
 
     def test_nb_zero_score_tie_matches_predict_nb(self, monkeypatch):
         fits = record_fits(monkeypatch, "train_nb")
+        force_workers(monkeypatch, 1)  # the fits are recorded in this process
         cfg = PipelineConfig(metric="presence", classifier="nb", min_count=2)
         model = train_two_stage(generate_corpus(n_posts=60, seed=5), cfg)
         _, fitted = fits[1]
