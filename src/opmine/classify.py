@@ -18,8 +18,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .features import FeatureVector
-
 
 @dataclass(frozen=True)
 class Prediction:
@@ -55,7 +53,7 @@ def decide(score: float, labels: tuple[Any, Any], counts: tuple[int, int]) -> An
 
 
 def train_nb(
-    vectors: Sequence[FeatureVector],
+    vectors: Sequence[dict[int, float]],
     labels: Sequence[str],
     smoothing: float = 1.0,
     vocab_size: int | None = None,
@@ -78,12 +76,12 @@ def train_nb(
             raise ValueError(f"expected exactly 2 classes in labels, got {distinct}")
         classes = (distinct[1], distinct[0])  # larger tag plays the positive role
     if vocab_size is None:
-        vocab_size = 1 + max((i for v in vectors for i in v.values), default=-1)
+        vocab_size = 1 + max((i for v in vectors for i in v), default=-1)
     for cls in classes:
         if cls not in labels:
             raise ValueError(f"class {cls!r} has no training examples")
     for vec in vectors:
-        for idx, val in vec.values.items():
+        for idx, val in vec.items():
             if val < 0:
                 raise ValueError(f"negative feature value {val} at index {idx}")
             if not 0 <= idx < vocab_size:
@@ -100,7 +98,7 @@ def train_nb(
             if lab != cls:
                 continue
             n_cls += 1
-            for idx, val in vec.values.items():
+            for idx, val in vec.items():
                 sums[idx] += val
         class_counts[cls] = n_cls
         class_log_prior[cls] = math.log(n_cls / n_total)
@@ -115,13 +113,13 @@ def train_nb(
     )
 
 
-def predict_nb(model: NBModel, x: FeatureVector) -> Prediction:
+def predict_nb(model: NBModel, x: dict[int, float]) -> Prediction:
     """Score = log-posterior(positive class) - log-posterior(negative class)."""
     pos, neg = model.classes
     score = model.class_log_prior[pos] - model.class_log_prior[neg]
     lik_pos = model.feature_log_likelihood[pos]
     lik_neg = model.feature_log_likelihood[neg]
-    for idx, val in x.values.items():
+    for idx, val in x.items():
         if val < 0:
             raise ValueError(f"negative feature value {val} at index {idx}")
         if not 0 <= idx < model.vocab_size:
@@ -144,7 +142,7 @@ class SVMModel:
 
 
 def train_svm(
-    vectors: Sequence[FeatureVector],
+    vectors: Sequence[dict[int, float]],
     labels: Sequence[int],
     lambda_: float,
     epochs: int,
@@ -177,9 +175,8 @@ def train_svm(
     if set(labs) != {-1, 1}:
         raise ValueError(f"labels must contain both +1 and -1, got {sorted(set(labs))}")
     if vocab_size is None:
-        vocab_size = 1 + max((i for v in vectors for i in v.values), default=-1)
-    data = [vec.values for vec in vectors]
-    for values in data:
+        vocab_size = 1 + max((i for v in vectors for i in v), default=-1)
+    for values in vectors:
         for idx, val in values.items():
             if not math.isfinite(val):
                 raise ValueError("non-finite feature value in training data")
@@ -187,7 +184,7 @@ def train_svm(
                 raise ValueError(f"feature index out of range for vocab_size {vocab_size}")
 
     rng = np.random.default_rng(seed)
-    n = len(data)
+    n = len(vectors)
     u = [0.0] * vocab_size
     c = [0.0] * n
     h = 0.0  # H_{t-1} during step t
@@ -197,7 +194,7 @@ def train_svm(
     for _ in range(epochs):
         for j in rng.permutation(n).tolist():
             t += 1
-            values = data[j]
+            values = vectors[j]
             y = labs[j]
             dot = 0.0
             for idx, val in values.items():
@@ -211,7 +208,7 @@ def train_svm(
             b_sum += b
             h += 1.0 / t
     z = [0.0] * vocab_size
-    for values, c_j, y in zip(data, c, labs):
+    for values, c_j, y in zip(vectors, c, labs):
         for idx, val in values.items():
             z[idx] += c_j * y * val
     n_pos = sum(1 for y in labs if y == 1)
@@ -223,10 +220,10 @@ def train_svm(
     )
 
 
-def predict_svm(model: SVMModel, x: FeatureVector) -> Prediction:
+def predict_svm(model: SVMModel, x: dict[int, float]) -> Prediction:
     """Score = w.x + b; label +1 iff score > 0, with the deterministic tie rule."""
     score = model.bias
-    for idx, val in x.values.items():
+    for idx, val in x.items():
         if not 0 <= idx < model.vocab_size:
             raise ValueError(f"index {idx} out of range for vocab_size {model.vocab_size}")
         if not math.isfinite(val):

@@ -36,7 +36,7 @@ from .pipeline import (
     save_model,
     train_two_stage,
 )
-from .preprocess import StopList, load_stop_list, load_word_list
+from .preprocess import load_word_list
 from .stats import MoodTable, emit_report, mood_by_month, mood_by_topic
 
 
@@ -86,8 +86,8 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--svm-epochs", type=int, default=default.svm_epochs, metavar="E")
 
 
-def _build_inputs(args) -> tuple[PipelineConfig, Optional[StopList], Optional[RuleLexicons], dict]:
-    stop_list = load_stop_list(args.stop_words) if args.stop_words else None
+def _build_inputs(args) -> tuple[PipelineConfig, Optional[frozenset[str]], Optional[RuleLexicons], dict]:
+    stop_list = load_word_list(args.stop_words) if args.stop_words else None
     rules = scope = None
     rule_paths: dict = {}
     if args.rules:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, Optional
@@ -91,14 +91,6 @@ class Corpus:
         return tuple(p for p in self.posts if p.is_labeled)
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Assignment of labeled post ids to folds 0..k-1."""
-
-    k: int
-    assignment: dict[str, int] = field(hash=False)
-
-
 def _post_from_record(record: dict, line_no: int) -> Post:
     if not isinstance(record, dict):
         raise CorpusError(f"line {line_no}: expected a JSON object, got {type(record).__name__}")
@@ -119,7 +111,7 @@ def _post_from_record(record: dict, line_no: int) -> Post:
             raise CorpusError(f"line {line_no}: field 'timestamp' must be a string")
         try:
             timestamp = parse_timestamp(record["timestamp"])
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:  # overflow: UTC leaves years 1..9999
             raise CorpusError(f"line {line_no}: bad timestamp {record['timestamp']!r}: {exc}") from exc
     try:
         return Post(id=record["id"], text=record["text"], topic=topic, timestamp=timestamp, label=label)
@@ -143,6 +135,8 @@ def load_corpus(path: str | Path) -> Corpus:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"line {line_no}: malformed JSON: {exc.msg}") from exc
+            except RecursionError:
+                raise CorpusError(f"line {line_no}: malformed JSON: nested too deeply") from None
             post = _post_from_record(record, line_no)
             if post.id in line_of_id:
                 raise CorpusError(
@@ -158,8 +152,9 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     atomic_write_text(path, "".join(json.dumps(p.to_record(), ensure_ascii=False) + "\n" for p in corpus))
 
 
-def split_folds(corpus: Corpus, k: int, seed: int, stratified: bool = True) -> FoldPlan:
-    """Deterministically assign labeled posts to k folds; unlabeled posts are excluded.
+def split_folds(corpus: Corpus, k: int, seed: int, stratified: bool = True) -> dict[str, int]:
+    """Deterministically assign labeled posts to folds 0..k-1, as {post id: fold};
+    unlabeled posts are excluded.
 
     Stratified mode deals each class round-robin after a seeded shuffle, so
     per-fold class proportions deviate from global ones by at most one post.
@@ -178,4 +173,4 @@ def split_folds(corpus: Corpus, k: int, seed: int, stratified: bool = True) -> F
         rng.shuffle(ids)
         for i, pid in enumerate(ids):
             assignment[pid] = i % k
-    return FoldPlan(k=k, assignment=assignment)
+    return assignment

@@ -8,7 +8,8 @@ Four metrics score a post against a fixed dictionary of m n-grams:
   ifreq_i     = frequency_i * ln(n_docs / doc_freq_i)
 
 where t_i is the (possibly rule-adjusted, hence signed) occurrence count of the
-i-th n-gram in the post.
+i-th n-gram in the post. A metric returns the post's sparse vector as a dict
+{i: value} that leaves out zero values.
 """
 
 from __future__ import annotations
@@ -213,50 +214,36 @@ def extract_counts(
     return counts
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse index -> value map for one post under one metric."""
-
-    values: dict[int, float] = field(hash=False)
-    metric: str
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def metric_presence(counts: Mapping[int, int], m: int) -> FeatureVector:
+def metric_presence(counts: Mapping[int, int], m: int) -> dict[int, float]:
     for idx in counts:
         if not 0 <= idx < m:
             raise ValueError(f"index {idx} out of range for dictionary size {m}")
-    return FeatureVector(values={i: 1.0 for i, c in counts.items() if c != 0}, metric=METRIC_PRESENCE)
+    return {i: 1.0 for i, c in counts.items() if c != 0}
 
 
-def metric_count(counts: Mapping[int, int]) -> FeatureVector:
-    return FeatureVector(values={i: float(c) for i, c in counts.items() if c != 0}, metric=METRIC_COUNT)
+def metric_count(counts: Mapping[int, int]) -> dict[int, float]:
+    return {i: float(c) for i, c in counts.items() if c != 0}
 
 
-def metric_frequency(counts: Mapping[int, int]) -> FeatureVector:
+def metric_frequency(counts: Mapping[int, int]) -> dict[int, float]:
     total = sum(counts.values())
     if total == 0:
         raise ZeroTotalCountError("total in-dictionary count is zero")
-    return FeatureVector(
-        values={i: c / total for i, c in counts.items() if c != 0}, metric=METRIC_FREQUENCY
-    )
+    return {i: c / total for i, c in counts.items() if c != 0}
 
 
-def metric_ifrequency(counts: Mapping[int, int], dictionary: FeatureDictionary) -> FeatureVector:
-    freq = metric_frequency(counts)
+def metric_ifrequency(counts: Mapping[int, int], dictionary: FeatureDictionary) -> dict[int, float]:
     values = {}
-    for i, f in freq.values.items():
+    for i, f in metric_frequency(counts).items():
         idf = math.log(dictionary.n_docs / dictionary.doc_freq[i])
         if f * idf != 0.0:
             values[i] = f * idf
-    return FeatureVector(values=values, metric=METRIC_IFREQUENCY)
+    return values
 
 
 def compute_metric(
     metric: str, counts: Mapping[int, int], dictionary: FeatureDictionary
-) -> FeatureVector:
+) -> dict[int, float]:
     if metric == METRIC_PRESENCE:
         return metric_presence(counts, len(dictionary))
     if metric == METRIC_COUNT:

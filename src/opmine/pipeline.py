@@ -41,7 +41,6 @@ from .features import (
     RULE_MODE_TAG,
     RULE_MODES,
     FeatureDictionary,
-    FeatureVector,
     RuleLexicons,
     ZeroTotalCountError,
     build_dictionary,
@@ -50,7 +49,7 @@ from .features import (
     rule_adjusted_tokens,
 )
 from .ioutil import atomic_write_text
-from .preprocess import StopList, SuffixTrie, build_suffix_trie, remove_stop_words, stem_tokens, tokenize
+from .preprocess import SuffixTrie, build_suffix_trie, remove_stop_words, stem_tokens, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -146,7 +145,7 @@ class TwoStageModel:
     config: PipelineConfig
     subjectivity: StageModel
     polarity: StageModel
-    stop_list: Optional[StopList] = None
+    stop_list: Optional[frozenset[str]] = None
     rules: Optional[RuleLexicons] = None  # already narrowed to config.rule_scope
 
 
@@ -157,7 +156,7 @@ class PostClassification:
     polarity_score: Optional[float]  # None when stage 1 said objective
 
 
-def _base_tokens(text: str, config: PipelineConfig, stop_list: Optional[StopList]) -> list[str]:
+def _base_tokens(text: str, config: PipelineConfig, stop_list: Optional[frozenset[str]]) -> list[str]:
     tokens = tokenize(text)
     if config.stop_words:
         assert stop_list is not None
@@ -167,7 +166,7 @@ def _base_tokens(text: str, config: PipelineConfig, stop_list: Optional[StopList
 
 def _raw_metric(
     metric: str, counts: dict[int, int], dictionary: FeatureDictionary
-) -> Optional[FeatureVector]:
+) -> Optional[dict[int, float]]:
     """Metric step shared by both classifiers; None for a zero total count."""
     try:
         return compute_metric(metric, counts, dictionary)
@@ -175,7 +174,9 @@ def _raw_metric(
         return None
 
 
-def _classifier_vector(raw: Optional[FeatureVector], config: PipelineConfig, post_id: str) -> FeatureVector:
+def _classifier_vector(
+    raw: Optional[dict[int, float]], config: PipelineConfig, post_id: str
+) -> dict[int, float]:
     """A shared metric vector with the two pipeline-level fallbacks.
 
     A zero total count under frequency metrics maps to an empty vector (logged);
@@ -188,9 +189,9 @@ def _classifier_vector(raw: Optional[FeatureVector], config: PipelineConfig, pos
             post_id,
             config.metric,
         )
-        raw = FeatureVector(values={}, metric=config.metric)
+        raw = {}
     if config.classifier == CLASSIFIER_NB:
-        return FeatureVector(values={i: v for i, v in raw.values.items() if v > 0}, metric=raw.metric)
+        return {i: v for i, v in raw.items() if v > 0}
     return raw
 
 
@@ -200,7 +201,7 @@ def vectorize(
     config: PipelineConfig,
     rules: Optional[RuleLexicons],
     post_id: str = "?",
-) -> FeatureVector:
+) -> dict[int, float]:
     """Counts step, then metric step, for one post's (stemmed) tokens."""
     counts = extract_counts(tokens, dictionary, rules, config.rule_mode)
     return _classifier_vector(_raw_metric(config.metric, counts, dictionary), config, post_id)
@@ -238,7 +239,7 @@ def _fit_stage(
     name: str,
     trie: Optional[SuffixTrie],
     dictionary: FeatureDictionary,
-    vectors: list[FeatureVector],
+    vectors: list[dict[int, float]],
     labels: list[str],
     config: PipelineConfig,
 ) -> StageModel:
@@ -293,7 +294,7 @@ def _train_stage(
     posts: list[Post],
     labels: list[str],
     config: PipelineConfig,
-    stop_list: Optional[StopList],
+    stop_list: Optional[frozenset[str]],
     rules: Optional[RuleLexicons],
 ) -> StageModel:
     token_seqs = [_base_tokens(p.text, config, stop_list) for p in posts]
@@ -306,7 +307,7 @@ def _train_stage(
 
 
 def _checked_rules(
-    config: PipelineConfig, stop_list: Optional[StopList], rules: Optional[RuleLexicons]
+    config: PipelineConfig, stop_list: Optional[frozenset[str]], rules: Optional[RuleLexicons]
 ) -> Optional[RuleLexicons]:
     """Check that the config's stop list and lexicons were given; return the
     lexicons narrowed to its rule scope, or None when rules are off."""
@@ -332,7 +333,7 @@ def _require_labels(posts: Sequence[Post], where: str = "") -> None:
 def train_two_stage(
     corpus: Corpus,
     config: PipelineConfig,
-    stop_list: Optional[StopList] = None,
+    stop_list: Optional[frozenset[str]] = None,
     rules: Optional[RuleLexicons] = None,
 ) -> TwoStageModel:
     """Train both stages from the corpus's labeled posts.
@@ -356,13 +357,13 @@ def train_two_stage(
     )
 
 
-def _score(stage: StageModel, vec: FeatureVector) -> tuple[str, float]:
+def _score(stage: StageModel, vec: dict[int, float]) -> tuple[str, float]:
     """Score step: the stage's label and score for one metric vector."""
     # accumulate in the vector's order, as predict_nb/predict_svm do, so the
     # scores are bit-identical to theirs (a numpy dot would reorder the sum)
     score = stage.bias
     weights = stage.weights
-    for idx, val in vec.values.items():
+    for idx, val in vec.items():
         score += val * weights[idx]
     return decide(score, stage.classes, stage.class_counts), score
 
@@ -481,8 +482,8 @@ class _FoldVectors(NamedTuple):
     """One stage's metric vectors in one fold (None: zero total count), shared by
     the NB and SVM configs of one feature key and metric."""
 
-    train: list[Optional[FeatureVector]]
-    held_out: list[Optional[FeatureVector]]
+    train: list[Optional[dict[int, float]]]
+    held_out: list[Optional[dict[int, float]]]
 
 
 def _evaluate_configs(
@@ -572,7 +573,7 @@ def _evaluate_configs(
 
 
 def _base_token_table(
-    posts: Sequence[Post], configs: Sequence[PipelineConfig], stop_list: Optional[StopList]
+    posts: Sequence[Post], configs: Sequence[PipelineConfig], stop_list: Optional[frozenset[str]]
 ) -> dict[bool, dict[str, list[str]]]:
     """Base tokens of every post text, once per stop-word setting the configs use."""
     return {
@@ -585,7 +586,7 @@ def evaluate_fold(
     train_corpus: Corpus,
     test_posts: Sequence[Post],
     config: PipelineConfig,
-    stop_list: Optional[StopList] = None,
+    stop_list: Optional[frozenset[str]] = None,
     rules: Optional[RuleLexicons] = None,
 ) -> FoldEval:
     """Train on train_corpus's labeled posts and evaluate on the held-out posts:
@@ -597,22 +598,19 @@ def evaluate_fold(
     return _evaluate_configs(train_posts, test_posts, [config], [scoped], tokens)[0]
 
 
-class _CVInputs(NamedTuple):
-    """What every fold of one cross_validate_grid call reads."""
-
-    labeled: tuple[Post, ...]
-    assignment: dict[str, int]  # post id -> fold
-    configs: Sequence[PipelineConfig]
-    scoped: Sequence[Optional[RuleLexicons]]
-    tokens: dict[bool, dict[str, list[str]]]
-
-
-def _cv_fold(inputs: _CVInputs, fold: int) -> list[FoldEval]:
+def _cv_fold(
+    labeled: tuple[Post, ...],
+    fold_of: dict[str, int],
+    configs: Sequence[PipelineConfig],
+    scoped: Sequence[Optional[RuleLexicons]],
+    tokens: dict[bool, dict[str, list[str]]],
+    fold: int,
+) -> list[FoldEval]:
     """One fold of every config, with that fold's posts held out."""
-    train_posts = tuple(p for p in inputs.labeled if inputs.assignment[p.id] != fold)
-    test_posts = [p for p in inputs.labeled if inputs.assignment[p.id] == fold]
+    train_posts = tuple(p for p in labeled if fold_of[p.id] != fold)
+    test_posts = [p for p in labeled if fold_of[p.id] == fold]
     _require_labels(train_posts, f"fold {fold}: ")
-    return _evaluate_configs(train_posts, test_posts, inputs.configs, inputs.scoped, inputs.tokens)
+    return _evaluate_configs(train_posts, test_posts, configs, scoped, tokens)
 
 
 def _fold_workers(k: int) -> int:
@@ -660,7 +658,7 @@ def cross_validate_grid(
     corpus: Corpus,
     configs: Sequence[PipelineConfig],
     k: int = 10,
-    stop_list: Optional[StopList] = None,
+    stop_list: Optional[frozenset[str]] = None,
     rules: Optional[RuleLexicons] = None,
     stratified: bool = True,
 ) -> list[EvaluationReport]:
@@ -679,16 +677,15 @@ def cross_validate_grid(
     if len(seeds) != 1:
         raise ValueError(f"cross-validated configs must share one seed, got {sorted(seeds)}")
     scoped = [_checked_rules(config, stop_list, rules) for config in configs]
-    plan = split_folds(corpus, k, seeds.pop(), stratified=stratified)
+    fold_of = split_folds(corpus, k, seeds.pop(), stratified=stratified)
     labeled = corpus.labeled()
-    empty = sorted(set(range(k)) - set(plan.assignment.values()))
+    empty = sorted(set(range(k)) - set(fold_of.values()))
     if empty:
         sizes = ", ".join(f"{c}={n}" for c, n in sorted(Counter(p.label for p in labeled).items()))
         folds = ", ".join(map(str, empty))
         raise CorpusError(f"{k} folds leave fold(s) {folds} without test posts (class sizes: {sizes})")
     tokens = _base_token_table(labeled, configs, stop_list)
-    inputs = _CVInputs(labeled, plan.assignment, configs, scoped, tokens)
-    folds = _fork_map(_cv_fold, [(inputs, fold) for fold in range(k)])
+    folds = _fork_map(_cv_fold, [(labeled, fold_of, configs, scoped, tokens, fold) for fold in range(k)])
     return [aggregate_report(evals, k) for evals in zip(*folds)]
 
 
@@ -696,7 +693,7 @@ def cross_validate(
     corpus: Corpus,
     config: PipelineConfig,
     k: int = 10,
-    stop_list: Optional[StopList] = None,
+    stop_list: Optional[frozenset[str]] = None,
     rules: Optional[RuleLexicons] = None,
     stratified: bool = True,
 ) -> EvaluationReport:
@@ -804,16 +801,18 @@ def _dictionary_payload(dictionary: FeatureDictionary) -> dict:
     }
 
 
-def dictionary_fingerprint(dictionary: FeatureDictionary) -> str:
-    blob = json.dumps(_dictionary_payload(dictionary), sort_keys=True, ensure_ascii=False)
+def dictionary_fingerprint(payload: dict) -> str:
+    """sha256 of a dictionary payload (see _dictionary_payload) as canonical JSON."""
+    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _stage_payload(stage: StageModel) -> dict:
+    dictionary = _dictionary_payload(stage.dictionary)
     return {
         "classes": list(stage.classes),
-        "dictionary": _dictionary_payload(stage.dictionary),
-        "fingerprint": dictionary_fingerprint(stage.dictionary),
+        "dictionary": dictionary,
+        "fingerprint": dictionary_fingerprint(dictionary),
         "stem_vocabulary": sorted(stage.stem_trie.vocabulary) if stage.stem_trie else None,
         "weights": stage.weights.tolist(),
         "bias": stage.bias,
@@ -827,7 +826,7 @@ def model_to_json(model: TwoStageModel) -> str:
         "format_version": MODEL_FORMAT_VERSION,
         "tool_version": __version__,
         "config": model.config.to_dict(),
-        "stop_words": sorted(model.stop_list.words) if model.stop_list else None,
+        "stop_words": sorted(model.stop_list) if model.stop_list is not None else None,
         "rules": (
             {
                 "negatory": sorted(model.rules.negatory),
@@ -870,7 +869,8 @@ def _word_list(what: str, value: object, used: bool) -> Optional[frozenset[str]]
 def _dictionary_from_payload(payload: dict, ngrams: str) -> FeatureDictionary:
     """Rebuild a stored dictionary; its n-gram sizes must be those of the config."""
     sizes = NGRAM_SIZES[ngrams]
-    if payload["sizes"] != list(sizes):
+    # type(), not ==: 1.0 and true equal 1 but would change the fingerprint
+    if payload["sizes"] != list(sizes) or {type(n) for n in payload["sizes"]} != {int}:
         raise ValueError(f"sizes must be {list(sizes)} for ngrams={ngrams!r}, got {payload['sizes']!r}")
     grams, doc_freq, n_docs = payload["ngrams"], payload["doc_freq"], payload["n_docs"]
     if not (
@@ -902,7 +902,8 @@ def _stage_from_payload(name: str, payload: object, config: PipelineConfig) -> S
         dictionary = _dictionary_from_payload(payload["dictionary"], config.ngrams)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"{where} dictionary: {exc}") from exc
-    actual = dictionary_fingerprint(dictionary)
+    # after the checks above, the payload is exactly what _dictionary_payload writes
+    actual = dictionary_fingerprint(payload["dictionary"])
     if actual != payload["fingerprint"]:
         raise ModelFormatError(
             f"{where}: dictionary fingerprint mismatch "
@@ -948,7 +949,7 @@ def load_model(path: str | Path) -> TwoStageModel:
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # recursion: JSON nested too deeply
         raise ModelFormatError(f"cannot parse model file {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path} is not a {MODEL_FORMAT} model file")
@@ -965,8 +966,7 @@ def load_model(path: str | Path) -> TwoStageModel:
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"config: {exc}") from exc
     _check_keys("stages", payload["stages"], set(STAGE_CLASSES))
-    stop_words = _word_list("stop_words", payload["stop_words"], used=config.stop_words)
-    stop_list = StopList(words=stop_words) if config.stop_words else None
+    stop_list = _word_list("stop_words", payload["stop_words"], used=config.stop_words)
     rules = None
     if config.rule_mode == RULE_MODE_OFF:
         _word_list("rules", payload["rules"], used=False)

@@ -23,14 +23,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.casefold())
 
 
-@dataclass(frozen=True)
-class StopList:
-    words: frozenset[str]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.words
-
-
 def load_word_list(path: str | Path) -> frozenset[str]:
     """Read a one-entry-per-line UTF-8 lexicon; ``#`` comment lines are ignored.
 
@@ -46,11 +38,7 @@ def load_word_list(path: str | Path) -> frozenset[str]:
     return frozenset(words)
 
 
-def load_stop_list(path: str | Path) -> StopList:
-    return StopList(words=load_word_list(path))
-
-
-def remove_stop_words(tokens: list[str], stop: StopList) -> list[str]:
+def remove_stop_words(tokens: list[str], stop: frozenset[str]) -> list[str]:
     """Drop stop words, preserving the relative order of survivors."""
     return [t for t in tokens if t not in stop]
 

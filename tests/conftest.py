@@ -3,7 +3,6 @@ import random
 import pytest
 
 from opmine import synthetic
-from opmine.features import FeatureVector
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +35,6 @@ def make_separable_2d(n=60, seed=5, margin=0.5):
         x = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         s = w_true[0] * x[0] + w_true[1] * x[1]
         if abs(s) >= margin:
-            vectors.append(FeatureVector(values={0: x[0], 1: x[1]}, metric="count"))
+            vectors.append({0: x[0], 1: x[1]})
             labels.append(1 if s > 0 else -1)
     return vectors, labels, w_true

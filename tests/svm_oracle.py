@@ -13,13 +13,12 @@ from typing import Sequence
 import numpy as np
 
 from opmine.classify import SVMModel
-from opmine.features import FeatureVector
 
 
 def svm_objective(
     weights: np.ndarray,
     bias: float,
-    vectors: Sequence[FeatureVector],
+    vectors: Sequence[dict[int, float]],
     labels: Sequence[int],
     lambda_: float,
 ) -> float:
@@ -27,7 +26,7 @@ def svm_objective(
     total = 0.0
     for vec, y in zip(vectors, labels):
         margin = bias
-        for idx, val in vec.values.items():
+        for idx, val in vec.items():
             margin += weights[idx] * val
         total += max(0.0, 1.0 - y * margin)
     return 0.5 * lambda_ * float(weights @ weights) + total / len(vectors)
@@ -36,7 +35,7 @@ def svm_objective(
 def svm_objective_gradient(
     weights: np.ndarray,
     bias: float,
-    vectors: Sequence[FeatureVector],
+    vectors: Sequence[dict[int, float]],
     labels: Sequence[int],
     lambda_: float,
 ) -> tuple[np.ndarray, float]:
@@ -50,17 +49,17 @@ def svm_objective_gradient(
     n = len(vectors)
     for vec, y in zip(vectors, labels):
         margin = bias
-        for idx, val in vec.values.items():
+        for idx, val in vec.items():
             margin += weights[idx] * val
         if y * margin < 1.0:
-            for idx, val in vec.values.items():
+            for idx, val in vec.items():
                 grad_w[idx] -= y * val / n
             grad_b -= y / n
     return grad_w, grad_b
 
 
 def train_svm_dense(
-    vectors: Sequence[FeatureVector],
+    vectors: Sequence[dict[int, float]],
     labels: Sequence[int],
     lambda_: float,
     epochs: int,
@@ -76,11 +75,11 @@ def train_svm_dense(
     """
     labs = [int(y) for y in labels]
     if vocab_size is None:
-        vocab_size = 1 + max((i for v in vectors for i in v.values), default=-1)
+        vocab_size = 1 + max((i for v in vectors for i in v), default=-1)
     data = [
         (
-            np.fromiter(vec.values.keys(), dtype=np.int64, count=len(vec.values)),
-            np.fromiter(vec.values.values(), dtype=np.float64, count=len(vec.values)),
+            np.fromiter(vec.keys(), dtype=np.int64, count=len(vec)),
+            np.fromiter(vec.values(), dtype=np.float64, count=len(vec)),
         )
         for vec in vectors
     ]

@@ -23,7 +23,6 @@ from opmine.classify import (
 from opmine.cli import main
 from opmine.corpus import Corpus, Post, save_corpus, split_folds
 from opmine.features import (
-    FeatureVector,
     RuleLexicons,
     build_dictionary,
     compute_metric,
@@ -65,12 +64,12 @@ def test_criterion_1_metric_oracles():
         counts = extract_counts(tokens, dictionary)
         assert counts == brute_force_counts(tokens, dictionary)
         for metric in ("presence", "count"):
-            assert compute_metric(metric, counts, dictionary).values == brute_force_metric(
+            assert compute_metric(metric, counts, dictionary) == brute_force_metric(
                 metric, counts, dictionary
             )
         if sum(counts.values()) != 0:
             for metric in ("frequency", "ifrequency"):
-                got = compute_metric(metric, counts, dictionary).values
+                got = compute_metric(metric, counts, dictionary)
                 want = brute_force_metric(metric, counts, dictionary)
                 assert got.keys() == want.keys()
                 for i in got:
@@ -87,16 +86,16 @@ def test_criterion_2_nb_oracle():
     rng = np.random.default_rng(202)
     m = 5
     train_vecs = [
-        FeatureVector(values={0: 2.0, 1: 1.0}, metric="count"),
-        FeatureVector(values={2: 3.0}, metric="count"),
-        FeatureVector(values={1: 1.0, 3: 2.0}, metric="count"),
-        FeatureVector(values={0: 1.0, 4: 1.5}, metric="count"),
+        {0: 2.0, 1: 1.0},
+        {2: 3.0},
+        {1: 1.0, 3: 2.0},
+        {0: 1.0, 4: 1.5},
     ]
     labels = ["pos", "pos", "neg", "neg"]
     model = train_nb(train_vecs, labels, smoothing=1.0, vocab_size=m, classes=("pos", "neg"))
     for _ in range(100):
         raw = rng.uniform(0, 4, size=m) * (rng.random(m) < 0.7)
-        x = FeatureVector(values={i: float(v) for i, v in enumerate(raw) if v}, metric="count")
+        x = {i: float(v) for i, v in enumerate(raw) if v}
         want = brute_force_nb_score(train_vecs, labels, ("pos", "neg"), 1.0, m, x)
         got = predict_nb(model, x)
         assert abs(got.score - want) <= 1e-9
@@ -111,7 +110,7 @@ def test_criterion_3_svm_properties():
     started = time.perf_counter()
     vectors, labels, w_true = make_separable_2d(n=60, seed=5, margin=0.5)
     for v, y in zip(vectors, labels):  # exhaustive separability check first
-        assert y * (w_true[0] * v.values[0] + w_true[1] * v.values[1]) >= 0.5
+        assert y * (w_true[0] * v[0] + w_true[1] * v[1]) >= 0.5
     lam = 0.1
     model = train_svm(vectors, labels, lambda_=lam, epochs=64, seed=3)
 
@@ -130,7 +129,7 @@ def test_criterion_3_svm_properties():
     h = 1e-6
     margins = np.array(
         [
-            y * (sum(model.weights[i] * val for i, val in v.values.items()) + model.bias)
+            y * (sum(model.weights[i] * val for i, val in v.items()) + model.bias)
             for v, y in zip(vectors, labels)
         ]
     )
@@ -211,8 +210,8 @@ def test_criterion_5_rule_bigram_semantics(synth300):
         assert off == signed
         for metric in ("presence", "count", "frequency", "ifrequency"):
             assert (
-                compute_metric(metric, off, dictionary).values
-                == compute_metric(metric, signed, dictionary).values
+                compute_metric(metric, off, dictionary)
+                == compute_metric(metric, signed, dictionary)
             )
     cfg_off = replace(HEADLINE_CFG, rule_mode="off")
     cfg_signed = replace(HEADLINE_CFG, rule_mode="signed-count")
@@ -244,7 +243,7 @@ def test_criterion_7_no_leakage_audit(synth300):
     labeled = synth300.labeled()
     rebuilt = []
     for fold in range(10):
-        test_posts = [p for p in labeled if plan.assignment[p.id] == fold]
+        test_posts = [p for p in labeled if plan[p.id] == fold]
         test_ids = {p.id for p in test_posts}
         universe = Corpus(posts=tuple(p for p in synth300 if p.id not in test_ids))
         rebuilt.append(evaluate_fold(universe, test_posts, HEADLINE_CFG))

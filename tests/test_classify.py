@@ -12,14 +12,9 @@ from opmine.classify import (
     train_nb,
     train_svm,
 )
-from opmine.features import FeatureVector
 
 from conftest import make_separable_2d
 from svm_oracle import svm_objective, svm_objective_gradient, train_svm_dense
-
-
-def vec(values):
-    return FeatureVector(values=values, metric="count")
 
 
 class TestDecide:
@@ -49,7 +44,7 @@ def brute_force_nb_score(train_vecs, train_labels, classes, alpha, m, x):
         members = [v for v, lab in zip(train_vecs, train_labels) if lab == cls]
         sums = [0.0] * m
         for v in members:
-            for i, val in v.values.items():
+            for i, val in v.items():
                 sums[i] += val
         total = sum(sums)
         theta = [(sums[i] + alpha) / (total + alpha * m) for i in range(m)]
@@ -58,14 +53,14 @@ def brute_force_nb_score(train_vecs, train_labels, classes, alpha, m, x):
     p_pos, t_pos = class_stats(pos)
     p_neg, t_neg = class_stats(neg)
     score = math.log(p_pos) - math.log(p_neg)
-    for i, val in x.values.items():
+    for i, val in x.items():
         score += val * (math.log(t_pos[i]) - math.log(t_neg[i]))
     return score
 
 
 class TestNaiveBayes:
     def test_uniform_priors(self):
-        model = train_nb([vec({0: 1}), vec({1: 1})], ["a", "b"], vocab_size=2)
+        model = train_nb([{0: 1}, {1: 1}], ["a", "b"], vocab_size=2)
         assert model.class_log_prior["a"] == pytest.approx(math.log(0.5))
         assert model.class_log_prior["b"] == pytest.approx(math.log(0.5))
 
@@ -73,21 +68,21 @@ class TestNaiveBayes:
         # class A holds one doc {0: 2} over m=2 features with alpha=1:
         # loglik(A,0) = ln((2+1)/(2+2)) = ln(3/4),  loglik(A,1) = ln(1/4)
         model = train_nb(
-            [vec({0: 2}), vec({1: 1})], ["A", "B"], smoothing=1.0, vocab_size=2, classes=("A", "B")
+            [{0: 2}, {1: 1}], ["A", "B"], smoothing=1.0, vocab_size=2, classes=("A", "B")
         )
         assert model.feature_log_likelihood["A"][0] == pytest.approx(math.log(3 / 4), abs=1e-12)
         assert model.feature_log_likelihood["A"][1] == pytest.approx(math.log(1 / 4), abs=1e-12)
 
     def test_huge_smoothing_flattens_likelihoods(self):
         model = train_nb(
-            [vec({0: 5}), vec({1: 3})], ["a", "b"], smoothing=1e12, vocab_size=4
+            [{0: 5}, {1: 3}], ["a", "b"], smoothing=1e12, vocab_size=4
         )
         for cls in ("a", "b"):
             assert np.allclose(model.feature_log_likelihood[cls], math.log(1 / 4), atol=1e-9)
 
     def test_distribution_invariants(self):
         model = train_nb(
-            [vec({0: 2, 1: 1}), vec({2: 4}), vec({0: 1})],
+            [{0: 2, 1: 1}, {2: 4}, {0: 1}],
             ["a", "a", "b"],
             vocab_size=3,
         )
@@ -98,35 +93,35 @@ class TestNaiveBayes:
 
     def test_empty_vector_decided_by_priors(self):
         model = train_nb(
-            [vec({0: 1})] * 3 + [vec({1: 1})], ["a"] * 3 + ["b"], vocab_size=2, classes=("a", "b")
+            [{0: 1}] * 3 + [{1: 1}], ["a"] * 3 + ["b"], vocab_size=2, classes=("a", "b")
         )
-        pred = predict_nb(model, vec({}))
+        pred = predict_nb(model, {})
         assert pred.label == "a"
         assert pred.score == pytest.approx(math.log(3))
 
     def test_mirrored_input_negates_score(self):
         model = train_nb(
-            [vec({0: 3}), vec({1: 3})], ["a", "b"], vocab_size=2, classes=("a", "b")
+            [{0: 3}, {1: 3}], ["a", "b"], vocab_size=2, classes=("a", "b")
         )
-        s = predict_nb(model, vec({0: 2})).score
-        s_mirror = predict_nb(model, vec({1: 2})).score
+        s = predict_nb(model, {0: 2}).score
+        s_mirror = predict_nb(model, {1: 2}).score
         assert s_mirror == pytest.approx(-s, abs=1e-12)
 
     def test_tie_break_on_zero_score(self):
         model = train_nb(
-            [vec({0: 3}), vec({1: 3})], ["b", "a"], vocab_size=2, classes=("b", "a")
+            [{0: 3}, {1: 3}], ["b", "a"], vocab_size=2, classes=("b", "a")
         )
-        pred = predict_nb(model, vec({}))
+        pred = predict_nb(model, {})
         assert pred.score == 0.0
         assert pred.label == "a"  # equal priors: lexicographically smaller tag
 
     def test_matches_bayes_rule_oracle(self):
         rng = np.random.default_rng(12)
-        train_vecs = [vec({0: 2, 1: 1}), vec({2: 3}), vec({1: 1, 3: 2}), vec({0: 1, 4: 1})]
+        train_vecs = [{0: 2, 1: 1}, {2: 3}, {1: 1, 3: 2}, {0: 1, 4: 1}]
         labels = ["pos", "pos", "neg", "neg"]
         model = train_nb(train_vecs, labels, vocab_size=5, classes=("pos", "neg"))
         for _ in range(25):
-            x = vec({int(i): float(c) for i, c in enumerate(rng.integers(0, 4, size=5)) if c})
+            x = {int(i): float(c) for i, c in enumerate(rng.integers(0, 4, size=5)) if c}
             want = brute_force_nb_score(train_vecs, labels, ("pos", "neg"), 1.0, 5, x)
             got = predict_nb(model, x)
             assert got.score == pytest.approx(want, abs=1e-9)
@@ -134,25 +129,25 @@ class TestNaiveBayes:
 
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            train_nb([vec({0: -1}), vec({1: 1})], ["a", "b"], vocab_size=2)
-        model = train_nb([vec({0: 1}), vec({1: 1})], ["a", "b"], vocab_size=2)
+            train_nb([{0: -1}, {1: 1}], ["a", "b"], vocab_size=2)
+        model = train_nb([{0: 1}, {1: 1}], ["a", "b"], vocab_size=2)
         with pytest.raises(ValueError, match="negative"):
-            predict_nb(model, vec({0: -0.5}))
+            predict_nb(model, {0: -0.5})
 
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError, match="'b'"):
-            train_nb([vec({0: 1})], ["a"], vocab_size=1, classes=("a", "b"))
+            train_nb([{0: 1}], ["a"], vocab_size=1, classes=("a", "b"))
 
     def test_fractional_values_accepted(self):
         model = train_nb(
-            [vec({0: 0.25, 1: 0.75}), vec({1: 1.0})], ["a", "b"], vocab_size=2
+            [{0: 0.25, 1: 0.75}, {1: 1.0}], ["a", "b"], vocab_size=2
         )
-        assert math.isfinite(predict_nb(model, vec({0: 0.6})).score)
+        assert math.isfinite(predict_nb(model, {0: 0.6}).score)
 
 
 class TestSVMTraining:
     def test_one_dimensional_geometry(self):
-        vectors = [vec({0: 1.0}), vec({0: -1.0})]
+        vectors = [{0: 1.0}, {0: -1.0}]
         labels = [1, -1]
         model = train_svm(vectors, labels, lambda_=0.01, epochs=50, seed=0)
         assert model.weights[0] > 0
@@ -173,7 +168,7 @@ class TestSVMTraining:
         vectors, labels, w_true = make_separable_2d()
         # exhaustive separability check against the generating hyperplane first
         for v, y in zip(vectors, labels):
-            assert y * (w_true[0] * v.values[0] + w_true[1] * v.values[1]) >= 0.5
+            assert y * (w_true[0] * v[0] + w_true[1] * v[1]) >= 0.5
         model = train_svm(vectors, labels, lambda_=0.1, epochs=64, seed=3)
         assert all(predict_svm(model, v).label == y for v, y in zip(vectors, labels))
 
@@ -200,7 +195,7 @@ class TestSVMTraining:
         grad_w, grad_b = svm_objective_gradient(w, b, vectors, labels, lam)
         h = 1e-6
         margins = np.array(
-            [y * (sum(w[i] * val for i, val in v.values.items()) + b) for v, y in zip(vectors, labels)]
+            [y * (sum(w[i] * val for i, val in v.items()) + b) for v, y in zip(vectors, labels)]
         )
         rng = np.random.default_rng(0)
         checked = 0
@@ -237,19 +232,19 @@ class TestSVMTraining:
 
     def test_label_validation(self):
         with pytest.raises(ValueError, match="labels"):
-            train_svm([vec({0: 1}), vec({0: 2})], [1, 0], lambda_=0.1, epochs=1, seed=0)
+            train_svm([{0: 1}, {0: 2}], [1, 0], lambda_=0.1, epochs=1, seed=0)
 
     def test_nonfinite_feature_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             train_svm(
-                [vec({0: float("nan")}), vec({0: 1})], [1, -1], lambda_=0.1, epochs=1, seed=0
+                [{0: float("nan")}, {0: 1}], [1, -1], lambda_=0.1, epochs=1, seed=0
             )
 
     def test_feature_index_out_of_range_rejected(self):
         for bad in (3, -1):
             with pytest.raises(ValueError, match="out of range"):
                 train_svm(
-                    [vec({bad: 1.0}), vec({0: 1.0})], [1, -1], lambda_=0.1, epochs=1, seed=0, vocab_size=3
+                    [{bad: 1.0}, {0: 1.0}], [1, -1], lambda_=0.1, epochs=1, seed=0, vocab_size=3
                 )
 
 
@@ -261,15 +256,15 @@ class TestSVMPrediction:
             weights=np.zeros(2), bias=0.0,
             n_pos=model.n_pos, n_neg=model.n_neg,
         )
-        pred = predict_svm(zeroed, vec({0: 3.0}))
+        pred = predict_svm(zeroed, {0: 3.0})
         assert pred.score == 0.0
         assert pred.label in (1, -1)
-        assert pred.label == predict_svm(zeroed, vec({1: -2.0})).label
+        assert pred.label == predict_svm(zeroed, {1: -2.0}).label
 
     def test_empty_vector_scores_bias(self):
         vectors, labels, _ = make_separable_2d(n=10)
         model = train_svm(vectors, labels, lambda_=0.1, epochs=4, seed=0)
-        assert predict_svm(model, vec({})).score == model.bias
+        assert predict_svm(model, {}).score == model.bias
 
     def test_linearity_under_input_scaling(self):
         vectors, labels, _ = make_separable_2d(n=20)
@@ -278,8 +273,8 @@ class TestSVMPrediction:
             weights=model.weights, bias=0.0,
             n_pos=model.n_pos, n_neg=model.n_neg,
         )
-        x = vec({0: 0.7, 1: -1.1})
-        scaled = vec({0: 2.1, 1: -3.3})
+        x = {0: 0.7, 1: -1.1}
+        scaled = {0: 2.1, 1: -3.3}
         s1 = predict_svm(unbiased, x).score
         s3 = predict_svm(unbiased, scaled).score
         assert s3 == pytest.approx(3 * s1, rel=1e-9)
@@ -315,7 +310,7 @@ def svm_problems(draw):
         )
     )
     return {
-        "vectors": [vec(v) for v in values],
+        "vectors": values,
         "labels": labels,
         "lambda_": draw(st.floats(min_value=0.01, max_value=10)),
         "epochs": draw(st.integers(min_value=1, max_value=3)),
@@ -330,7 +325,7 @@ class TestSVMMatchesDenseOracle:
     # a subnormal weight: the lazy trainer returns 5e-324, the dense loop 0.0
     @example(
         {
-            "vectors": [vec({0: 5e-324}), vec({})],
+            "vectors": [{0: 5e-324}, {}],
             "labels": [1, -1],
             "lambda_": 1.0,
             "epochs": 1,
@@ -348,7 +343,7 @@ class TestSVMMatchesDenseOracle:
     def test_first_step_scores_the_bias_alone(self):
         # step 1 sees w = b = 0, so it always violates; with disjoint supports the
         # second step's margin is b_1 = y1/lambda, and y2*b_1 = -2 violates too
-        vectors = [vec({0: 2.0}), vec({1: 3.0})]
+        vectors = [{0: 2.0}, {1: 3.0}]
         labels = [1, -1]
         got = train_svm(vectors, labels, lambda_=0.5, epochs=1, seed=0)
         assert_matches_dense(got, train_svm_dense(vectors, labels, lambda_=0.5, epochs=1, seed=0))
@@ -356,13 +351,13 @@ class TestSVMMatchesDenseOracle:
         y1, y2 = labels[first], labels[second]
         # w_1 = y1*x1/lambda, w_2 = w_1/2 + y2*x2/(2*lambda); b_1 = y1/lambda, b_2 = b_1 + y2/(2*lambda)
         want = np.zeros(2)
-        want[first] = 1.5 * y1 * vectors[first].values[first]
-        want[second] = 0.5 * y2 * vectors[second].values[second]
+        want[first] = 1.5 * y1 * vectors[first][first]
+        want[second] = 0.5 * y2 * vectors[second][second]
         assert got.weights == pytest.approx(want, rel=1e-12)
         assert got.bias == pytest.approx((4 * y1 + y2) / 2, rel=1e-12)
 
     def test_empty_vectors_move_only_the_bias(self):
-        vectors = [vec({}), vec({}), vec({0: 1.0})]
+        vectors = [{}, {}, {0: 1.0}]
         labels = [1, -1, -1]
         got = train_svm(vectors, labels, lambda_=0.1, epochs=3, seed=4, vocab_size=3)
         want = train_svm_dense(vectors, labels, lambda_=0.1, epochs=3, seed=4, vocab_size=3)

@@ -226,6 +226,8 @@ MISTYPED_MODELS = [
     pytest.param({("config", "nb_smoothing"): "1"}, "nb_smoothing", id="string-smoothing"),
     pytest.param({("config", "seed"): "x"}, "seed", id="string-seed"),
     pytest.param({("config", "stemming"): 1}, "stemming", id="int-stemming"),
+    pytest.param({(*DICTIONARY, "sizes"): [1.0, 2.0]}, "sizes", id="float-sizes"),
+    pytest.param({(*DICTIONARY, "sizes"): [True, 2]}, "sizes", id="bool-size"),
 ]
 
 
@@ -320,18 +322,51 @@ def test_single_fold_is_rejected(corpus_file, capsys):
     _assert_one_error_line(capsys, rc, "needs k >= 2 folds")
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate", "classify", "stats"])
-def test_non_string_timestamp_fails_in_every_command(model_file, tmp_path, capsys, command):
-    path = write_jsonl(
-        tmp_path / "c.jsonl", ['{"id": "a", "text": "x", "timestamp": 5, "label": "positive"}']
-    )
-    argv = {
+CORPUS_COMMANDS = ["train", "evaluate", "classify", "stats"]
+
+
+def _corpus_argv(command, path, model_file, tmp_path):
+    """A command line of each command that loads the corpus at path."""
+    return {
         "train": ["train", str(path), "--out", str(tmp_path / "m.json")],
         "evaluate": ["evaluate", str(path)],
         "classify": ["classify", "--model", str(model_file), "--input", str(path)],
         "stats": ["stats", str(path), "--by", "month", "--out", str(tmp_path / "s.csv")],
     }[command]
-    _assert_one_error_line(capsys, main(argv), "timestamp")
+
+
+@pytest.mark.parametrize("command", CORPUS_COMMANDS)
+def test_non_string_timestamp_fails_in_every_command(model_file, tmp_path, capsys, command):
+    path = write_jsonl(
+        tmp_path / "c.jsonl", ['{"id": "a", "text": "x", "timestamp": 5, "label": "positive"}']
+    )
+    _assert_one_error_line(capsys, main(_corpus_argv(command, path, model_file, tmp_path)), "timestamp")
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+BAD_CORPUS_LINES = [
+    # both timestamps parse, but their UTC normal form lies outside years 1..9999
+    pytest.param('{"id": "b", "text": "y", "timestamp": "9999-12-31T23:59:59-23:59"}',
+                 "line 2: bad timestamp", id="after-year-9999"),
+    pytest.param('{"id": "b", "text": "y", "timestamp": "0001-01-01T00:00:00+01:00"}',
+                 "line 2: bad timestamp", id="before-year-1"),
+    pytest.param(DEEP_JSON, "line 2: malformed JSON", id="nested-too-deeply"),
+]
+
+
+@pytest.mark.parametrize("line, hint", BAD_CORPUS_LINES)
+@pytest.mark.parametrize("command", CORPUS_COMMANDS)
+def test_bad_corpus_line_fails_in_every_command(model_file, tmp_path, capsys, command, line, hint):
+    path = write_jsonl(tmp_path / "c.jsonl", ['{"id": "a", "text": "x", "label": "positive"}', line])
+    _assert_one_error_line(capsys, main(_corpus_argv(command, path, model_file, tmp_path)), hint)
+
+
+def test_deeply_nested_model_file_fails_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    rc = main(["classify", "--model", str(path), "--text", "x"])
+    _assert_one_error_line(capsys, rc, "cannot parse model file")
 
 
 class TestEvaluate:

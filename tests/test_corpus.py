@@ -106,7 +106,7 @@ def _posts(labels):
 def test_ten_posts_ten_folds_pigeonhole():
     corpus = _posts(["positive"] * 10)
     plan = split_folds(corpus, k=10, seed=1)
-    assert sorted(plan.assignment.values()) == list(range(10))
+    assert sorted(plan.values()) == list(range(10))
 
 
 def test_exact_stratification():
@@ -114,7 +114,7 @@ def test_exact_stratification():
     plan = split_folds(corpus, k=10, seed=3, stratified=True)
     label_of = {p.id: p.label for p in corpus}
     for fold in range(10):
-        labels = [label_of[pid] for pid, f in plan.assignment.items() if f == fold]
+        labels = [label_of[pid] for pid, f in plan.items() if f == fold]
         assert sorted(labels) == ["negative", "objective", "positive"]
 
 
@@ -131,7 +131,7 @@ def test_plain_split_matches_recorded_assignment():
     labels = ["positive", "negative", "objective", "positive", "objective", "negative"]
     corpus = _posts(labels * 2)
     plan = split_folds(corpus, k=4, seed=9, stratified=False)
-    assert list(plan.assignment.items()) == [
+    assert list(plan.items()) == [
         ("p6", 0), ("p4", 1), ("p11", 2), ("p9", 3), ("p0", 0), ("p8", 1),
         ("p1", 2), ("p10", 3), ("p2", 0), ("p3", 1), ("p7", 2), ("p5", 3),
     ]
@@ -152,7 +152,7 @@ def test_unlabeled_posts_excluded():
         )
     )
     plan = split_folds(corpus, k=2, seed=0)
-    assert set(plan.assignment) == {"a", "c"}
+    assert set(plan) == {"a", "c"}
 
 
 @settings(max_examples=50, deadline=None)
@@ -167,8 +167,8 @@ def test_folds_partition_labeled_set(labels, k, seed, stratified):
     if len(labels) < k:
         return
     plan = split_folds(corpus, k=k, seed=seed, stratified=stratified)
-    assert set(plan.assignment) == {p.id for p in corpus.labeled()}
-    assert all(0 <= f < k for f in plan.assignment.values())
+    assert set(plan) == {p.id for p in corpus.labeled()}
+    assert all(0 <= f < k for f in plan.values())
     if stratified:
         # at most one post per class deviation from an even split
         for cls in set(labels):
@@ -176,7 +176,7 @@ def test_folds_partition_labeled_set(labels, k, seed, stratified):
             per_fold = [
                 sum(
                     1
-                    for pid, f in plan.assignment.items()
+                    for pid, f in plan.items()
                     if f == fold and next(p for p in corpus if p.id == pid).label == cls
                 )
                 for fold in range(k)

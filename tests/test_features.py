@@ -141,25 +141,25 @@ def _dict_with(doc_freq, n_docs):
 class TestMetrics:
     def test_presence(self):
         vec = metric_presence({3: 2, 7: 1}, m=10)
-        assert vec.values == {3: 1.0, 7: 1.0}
+        assert vec == {3: 1.0, 7: 1.0}
 
     def test_presence_empty(self):
-        assert metric_presence({}, m=4).values == {}
+        assert metric_presence({}, m=4) == {}
 
     def test_presence_of_signed_count(self):
-        assert metric_presence({5: -1}, m=6).values == {5: 1.0}
+        assert metric_presence({5: -1}, m=6) == {5: 1.0}
 
     def test_count_identity(self):
-        assert metric_count({3: 2}).values == {3: 2.0}
-        assert metric_count({}).values == {}
-        assert metric_count({5: -1}).values == {5: -1.0}
+        assert metric_count({3: 2}) == {3: 2.0}
+        assert metric_count({}) == {}
+        assert metric_count({5: -1}) == {5: -1.0}
 
     def test_frequency(self):
         vec = metric_frequency({1: 2, 2: 1, 3: 1})
-        assert vec.values == {1: 0.5, 2: 0.25, 3: 0.25}
+        assert vec == {1: 0.5, 2: 0.25, 3: 0.25}
 
     def test_frequency_single_feature(self):
-        assert metric_frequency({1: 5}).values == {1: 1.0}
+        assert metric_frequency({1: 5}) == {1: 1.0}
 
     def test_frequency_zero_denominator(self):
         with pytest.raises(ZeroTotalCountError):
@@ -169,16 +169,16 @@ class TestMetrics:
         # freq = 0.5 with n_docs/doc_freq = 10 gives 0.5 * ln(10)
         d = _dict_with(doc_freq=[10, 100], n_docs=100)
         vec = metric_ifrequency({0: 1, 1: 1}, d)
-        assert vec.values[0] == pytest.approx(1.151292546497023, abs=1e-12)
+        assert vec[0] == pytest.approx(1.151292546497023, abs=1e-12)
 
     def test_ifrequency_full_document_frequency_vanishes(self):
         d = _dict_with(doc_freq=[10, 100], n_docs=100)
         vec = metric_ifrequency({0: 1, 1: 1}, d)
-        assert 1 not in vec.values  # ln(100/100) = 0, zero never stored
+        assert 1 not in vec  # ln(100/100) = 0, zero never stored
 
     def test_ifrequency_single_doc_corpus_all_zero(self):
         d = _dict_with(doc_freq=[1, 1], n_docs=1)
-        assert metric_ifrequency({0: 3, 1: 1}, d).values == {}
+        assert metric_ifrequency({0: 3, 1: 1}, d) == {}
 
     def test_presence_index_bounds(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -196,14 +196,14 @@ def test_frequency_sums_to_one_for_nonnegative_counts(counts):
     if not counts:
         return
     vec = metric_frequency(counts)
-    assert sum(vec.values.values()) == pytest.approx(1.0, abs=1e-12)
+    assert sum(vec.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
 @given(counts_strategy, st.integers(min_value=2, max_value=5))
 def test_presence_invariant_under_count_scaling(counts, factor):
     scaled = {i: c * factor for i, c in counts.items()}
-    assert metric_presence(counts, m=10).values == metric_presence(scaled, m=10).values
+    assert metric_presence(counts, m=10) == metric_presence(scaled, m=10)
 
 
 # --- brute-force recount oracle -------------------------------------------
@@ -252,12 +252,12 @@ def test_metrics_agree_with_brute_force(posts, sizes):
         counts = extract_counts(tokens, dictionary)
         assert counts == brute_force_counts(tokens, dictionary)
         for metric in ("presence", "count"):
-            assert compute_metric(metric, counts, dictionary).values == brute_force_metric(
+            assert compute_metric(metric, counts, dictionary) == brute_force_metric(
                 metric, counts, dictionary
             )
         if sum(counts.values()) != 0:
             for metric in ("frequency", "ifrequency"):
-                got = compute_metric(metric, counts, dictionary).values
+                got = compute_metric(metric, counts, dictionary)
                 want = brute_force_metric(metric, counts, dictionary)
                 assert got.keys() == want.keys()
                 for i in got:

@@ -9,7 +9,7 @@ import pytest
 from opmine import pipeline
 from opmine.classify import SVMModel, predict_nb, predict_svm
 from opmine.corpus import Corpus, CorpusError, Post, split_folds
-from opmine.features import METRICS, FeatureVector, RuleLexicons
+from opmine.features import METRICS, RuleLexicons
 from opmine.pipeline import (
     GRID_NAMES,
     STAGE_CLASSES,
@@ -27,7 +27,7 @@ from opmine.pipeline import (
     save_model,
     train_two_stage,
 )
-from opmine.preprocess import StopList, tokenize
+from opmine.preprocess import tokenize
 from opmine.synthetic import generate_corpus, rule_lexicons
 
 from svm_oracle import train_svm_dense
@@ -207,9 +207,7 @@ def grid_case():
     corpus = generate_corpus(n_posts=90, seed=5, vocab_size=20, rule_word_prob=0.1)
     rules = rule_lexicons()
     freq = Counter(t for p in corpus for t in tokenize(p.text))
-    stop = StopList(
-        frozenset([w for w, _ in freq.most_common() if w not in rules.negatory | rules.emphasizer][:3])
-    )
+    stop = frozenset([w for w, _ in freq.most_common() if w not in rules.negatory | rules.emphasizer][:3])
     cells = [cell for table in GRID_NAMES for cell in grid_cells(table, PipelineConfig(svm_epochs=3, seed=5))]
     return corpus, stop, rules, cells
 
@@ -295,7 +293,7 @@ class TestPooledFolds:
         single = next(p.id for p in corpus if p.label == "positive")
 
         def fold_of_single(seed):
-            return split_folds(corpus, 4, seed, stratified=False).assignment[single]
+            return split_folds(corpus, 4, seed, stratified=False)[single]
 
         # not fold 0, which a pool also starts first
         seed = next(s for s in range(100) if fold_of_single(s) > 0)
@@ -312,7 +310,7 @@ class TestPooledFolds:
 
         def folds(seed):
             plan = split_folds(corpus, 4, seed, stratified=False)
-            return plan.assignment[ids["positive"]], plan.assignment[ids["negative"]]
+            return plan[ids["positive"]], plan[ids["negative"]]
 
         seed = next(s for s in range(100) if 0 < min(folds(s)) != max(folds(s)))
         low, label = min(zip(folds(seed), ("positive", "negative")))
@@ -413,7 +411,7 @@ class TestPooledTrain:
 class TestNoLeakage:
     def test_deleting_test_posts_from_universe_changes_nothing(self):
         corpus = generate_corpus(n_posts=90, seed=31, shared_fraction=0.3)
-        stop = StopList(frozenset({"vemos", "silno"}))
+        stop = frozenset({"vemos", "silno"})
         cfg = PipelineConfig(
             metric="ifrequency",
             classifier="svm",
@@ -429,7 +427,7 @@ class TestNoLeakage:
         labeled = corpus.labeled()
         rebuilt = []
         for fold in range(k):
-            test_posts = [p for p in labeled if plan.assignment[p.id] == fold]
+            test_posts = [p for p in labeled if plan[p.id] == fold]
             test_ids = {p.id for p in test_posts}
             universe = Corpus(posts=tuple(p for p in corpus if p.id not in test_ids))
             rebuilt.append(evaluate_fold(universe, test_posts, cfg, stop_list=stop))
@@ -441,7 +439,7 @@ class TestNoLeakage:
         plan = split_folds(corpus, 3, cfg.seed, stratified=True)
         labeled = corpus.labeled()
         for fold in range(3):
-            train_posts = tuple(p for p in labeled if plan.assignment[p.id] != fold)
+            train_posts = tuple(p for p in labeled if plan[p.id] != fold)
             model = train_two_stage(Corpus(posts=train_posts), cfg)
             subj_vocab = {t for p in train_posts for t in tokenize(p.text)}
             pol_vocab = {
@@ -552,7 +550,7 @@ class TestLinearStages:
         _, fitted = fits[1]
         assert fitted.class_counts["positive"] == fitted.class_counts["negative"]
         label, score = _predict_stage(model.polarity, ["unseen"], cfg, None)
-        pred = predict_nb(fitted, FeatureVector(values={}, metric="presence"))
+        pred = predict_nb(fitted, {})
         assert score == pred.score == 0.0
         assert label == pred.label == "negative"
 
@@ -571,7 +569,7 @@ class TestLinearStages:
         )
         text = separable_corpus.posts[0].text
         label, score = _predict_stage(tied, tokenize(text), cfg, None)
-        pred = predict_svm(svm, FeatureVector(values={}, metric="count"))
+        pred = predict_svm(svm, {})
         assert score == pred.score == 0.0
         assert label == (tied.classes[0] if pred.label == 1 else tied.classes[1])
 
@@ -620,7 +618,7 @@ class TestModelSerialization:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "model.json.tmp"]
 
     def test_round_trip_preserves_predictions(self, tmp_path, separable_corpus):
-        stop = StopList(frozenset({"vemos"}))
+        stop = frozenset({"vemos"})
         cfg = PipelineConfig(
             metric="ifrequency",
             classifier="svm",
@@ -640,7 +638,7 @@ class TestModelSerialization:
 
     def test_empty_stop_list_round_trip(self, tmp_path, separable_corpus):
         cfg = PipelineConfig(metric="count", classifier="nb", min_count=2, stop_words=True)
-        model = train_two_stage(separable_corpus, cfg, stop_list=StopList(frozenset()))
+        model = train_two_stage(separable_corpus, cfg, stop_list=frozenset())
         save_model(model, tmp_path / "model.json")
         loaded = load_model(tmp_path / "model.json")
         text = separable_corpus.posts[0].text
@@ -680,7 +678,7 @@ def lexicon_model_payload(tmp_path_factory):
         metric="count", min_count=2, stop_words=True, stemming=True, rule_mode="tag", svm_epochs=1
     )
     corpus = generate_corpus(n_posts=60, seed=11, shared_fraction=0.0)
-    model = train_two_stage(corpus, cfg, stop_list=StopList(frozenset({"vemos"})), rules=rule_lexicons())
+    model = train_two_stage(corpus, cfg, stop_list=frozenset({"vemos"}), rules=rule_lexicons())
     path = tmp_path_factory.mktemp("lexicon") / "model.json"
     save_model(model, path)
     return path.read_text(encoding="utf-8")

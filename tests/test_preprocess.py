@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from opmine import preprocess
 from opmine.preprocess import (
-    StopList,
     SuffixTrie,
     build_suffix_trie,
-    load_stop_list,
     load_word_list,
     remove_stop_words,
     stem,
@@ -46,14 +44,14 @@ class TestTokenize:
 
 class TestStopWords:
     def test_filter(self):
-        assert remove_stop_words(["не", "е", "добро"], StopList(frozenset({"е"}))) == ["не", "добро"]
+        assert remove_stop_words(["не", "е", "добро"], frozenset({"е"})) == ["не", "добро"]
 
     def test_empty_stop_list_is_identity(self):
         tokens = ["a", "b", "a"]
-        assert remove_stop_words(tokens, StopList(frozenset())) == tokens
+        assert remove_stop_words(tokens, frozenset()) == tokens
 
     def test_total_removal(self):
-        assert remove_stop_words(["е", "е", "е"], StopList(frozenset({"е"}))) == []
+        assert remove_stop_words(["е", "е", "е"], frozenset({"е"})) == []
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -61,7 +59,7 @@ class TestStopWords:
         stop=st.sets(st.sampled_from("abcde")),
     )
     def test_output_is_subsequence(self, tokens, stop):
-        out = remove_stop_words(tokens, StopList(frozenset(stop)))
+        out = remove_stop_words(tokens, frozenset(stop))
         it = iter(tokens)
         assert all(any(t == u for u in it) for t in out)
         assert not any(t in stop for t in out)
@@ -70,7 +68,7 @@ class TestStopWords:
         path = tmp_path / "stop.txt"
         path.write_text("# comment\nThe\n\n  и  \n", encoding="utf-8")
         assert load_word_list(path) == frozenset({"the", "и"})
-        assert "the" in load_stop_list(path)
+        assert "the" in load_word_list(path)
 
 
 class TestSuffixTrie:
