@@ -238,7 +238,7 @@ def cmd_classify(args) -> int:
         # a plain record: Post would reject a blank --text
         records = [{"id": "text", "text": args.text}]
     else:
-        # one record at a time, so each is freed once written
+        # load_corpus holds every post; only the output records are made one at a time
         records = (p.to_record() for p in load_corpus(args.input))
     for record in records:
         result = classify_post(model, record["text"], post_id=record["id"])

@@ -73,9 +73,10 @@ class FeatureDictionary:
             raise ValueError("doc_freq length must match the number of entries")
         if sorted(self.entries.values()) != list(range(len(self.entries))):
             raise ValueError("entry indices must be dense 0..m-1")
-        for i, df in enumerate(self.doc_freq):
-            if not 1 <= df <= self.n_docs:
-                raise ValueError(f"doc_freq[{i}]={df} outside [1, n_docs={self.n_docs}]")
+        if self.doc_freq and not (min(self.doc_freq) >= 1 and max(self.doc_freq) <= self.n_docs):
+            # the scan only names the first bad index
+            i, df = next((i, df) for i, df in enumerate(self.doc_freq) if not 1 <= df <= self.n_docs)
+            raise ValueError(f"doc_freq[{i}]={df} outside [1, n_docs={self.n_docs}]")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -181,37 +182,57 @@ def build_dictionary(
     )
 
 
+def post_ngrams(
+    tokens: Sequence[str],
+    sizes: Sequence[int],
+    rules: Optional[RuleLexicons] = None,
+    rule_mode: str = RULE_MODE_OFF,
+) -> tuple[list[NGram], Optional[list[int]]]:
+    """The post's n-grams of the given sizes, in counting order, and in
+    signed-count mode each one's occurrence weight (None: every weight is +1).
+
+    tag mode rewrites the stream (rule word merged into its successor);
+    signed-count mode weights each modified unigram occurrence (+2 emphasized,
+    -1 negated). N-grams longer than one token always weigh +1 per occurrence
+    over the surviving stream.
+    """
+    if rule_mode == RULE_MODE_SIGNED and rules is not None:
+        stream, unigram_weights = _rule_walk(tokens, rules)
+        grams: list[NGram] = []
+        weights: list[int] = []
+        for n in sizes:
+            grams.extend(_ngrams(stream, n))
+            weights.extend(unigram_weights if n == 1 else repeat(1, len(grams) - len(weights)))
+        return grams, weights
+    stream = rule_adjusted_tokens(tokens, rules, rule_mode)
+    return list(chain.from_iterable(_ngrams(stream, n) for n in sizes)), None
+
+
+def count_ngrams(
+    grams: Sequence[NGram], weights: Optional[Sequence[int]], dictionary: FeatureDictionary
+) -> dict[int, int]:
+    """Sparse counts of the in-dictionary n-grams of ``post_ngrams``; with
+    weights, entries whose weights cancel to zero are dropped."""
+    lookup = dictionary.entries.get
+    counts: dict[int, int] = {}
+    for gram, weight in zip(grams, repeat(1) if weights is None else weights):
+        idx = lookup(gram)
+        if idx is not None:
+            counts[idx] = counts.get(idx, 0) + weight
+    if weights is not None:
+        return {i: c for i, c in counts.items() if c != 0}
+    return counts
+
+
 def extract_counts(
     tokens: Sequence[str],
     dictionary: FeatureDictionary,
     rules: Optional[RuleLexicons] = None,
     rule_mode: str = RULE_MODE_OFF,
 ) -> dict[int, int]:
-    """Sparse signed occurrence counts of in-dictionary n-grams for one post.
-
-    tag mode rewrites the stream (rule word merged into its successor) and then
-    counts normally; signed-count mode weights each modified unigram occurrence
-    (+2 emphasized, -1 negated) and drops entries whose weights cancel to zero.
-    N-grams longer than one token always count +1 per occurrence over the
-    surviving stream.
-    """
-    unigram_weights: Optional[list[int]] = None
-    if rule_mode == RULE_MODE_SIGNED and rules is not None:
-        stream, unigram_weights = _rule_walk(tokens, rules)
-    else:
-        stream = rule_adjusted_tokens(tokens, rules, rule_mode)
-
-    lookup = dictionary.entries.get
-    counts: dict[int, int] = {}
-    for n in dictionary.ngram_sizes:
-        weights = unigram_weights if n == 1 and unigram_weights is not None else repeat(1)
-        for gram, weight in zip(_ngrams(stream, n), weights):
-            idx = lookup(gram)
-            if idx is not None:
-                counts[idx] = counts.get(idx, 0) + weight
-    if unigram_weights is not None:
-        return {i: c for i, c in counts.items() if c != 0}
-    return counts
+    """Sparse signed occurrence counts of in-dictionary n-grams for one post
+    (see ``post_ngrams`` for the rule modes)."""
+    return count_ngrams(*post_ngrams(tokens, dictionary.ngram_sizes, rules, rule_mode), dictionary)
 
 
 def metric_presence(counts: Mapping[int, int], m: int) -> dict[int, float]:

@@ -7,6 +7,7 @@ and classifier, all built from training posts only.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import logging
@@ -15,7 +16,8 @@ import multiprocessing
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import chain
+from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -45,7 +47,9 @@ from .features import (
     ZeroTotalCountError,
     build_dictionary,
     compute_metric,
+    count_ngrams,
     extract_counts,
+    post_ngrams,
     rule_adjusted_tokens,
 )
 from .ioutil import atomic_write_text
@@ -74,6 +78,12 @@ STAGE_CLASSES = {
 
 # the types a PipelineConfig field of each annotation accepts
 _FIELD_TYPES = {"str": (str,), "bool": (bool,), "int": (int,), "float": (int, float)}
+
+# The largest svm_lambda. The minimiser of the SVM objective has ||w|| <= sqrt(2/lambda),
+# because w = 0 already reaches an objective of at most 1; at lambda = 1000 a post
+# needs a feature norm above ~22 for a margin of 1. Beyond that the fit only
+# shrinks every score towards zero (at 1e300 the scores are ~1e-300).
+SVM_LAMBDA_MAX = 1000.0
 
 
 @dataclass(frozen=True)
@@ -115,6 +125,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.svm_lambda > SVM_LAMBDA_MAX:
+            raise ValueError(f"svm_lambda must be at most {SVM_LAMBDA_MAX:g}, got {self.svm_lambda}")
         if self.svm_epochs < 1:
             raise ValueError(f"svm_epochs must be positive, got {self.svm_epochs}")
 
@@ -138,6 +150,11 @@ class StageModel:
     bias: float
     class_counts: tuple[int, int]  # training posts per class, in classes order
     stem_trie: Optional[SuffixTrie] = None
+
+    @cached_property
+    def weight_list(self) -> list[float]:
+        """The weights as floats, which the scorer indexes faster than the array."""
+        return self.weights.tolist()
 
 
 @dataclass(frozen=True)
@@ -174,22 +191,27 @@ def _raw_metric(
         return None
 
 
-def _classifier_vector(
+def _metric_or_empty(
     raw: Optional[dict[int, float]], config: PipelineConfig, post_id: str
 ) -> dict[int, float]:
-    """A shared metric vector with the two pipeline-level fallbacks.
-
-    A zero total count under frequency metrics maps to an empty vector (logged);
-    negative values are dropped for NB, whose event model cannot take them (the
-    SVM consumes signed values as-is).
-    """
+    """A zero total count under frequency metrics maps to an empty vector (logged)."""
     if raw is None:
         logger.warning(
             "post %s: zero total in-dictionary count under metric %r; using empty vector",
             post_id,
             config.metric,
         )
-        raw = {}
+        return {}
+    return raw
+
+
+def _classifier_vector(
+    raw: Optional[dict[int, float]], config: PipelineConfig, post_id: str
+) -> dict[int, float]:
+    """A shared metric vector with the two pipeline-level fallbacks: the empty
+    vector of ``_metric_or_empty``, and for NB only its positive values, as its
+    event model cannot take others (the SVM consumes signed values as-is)."""
+    raw = _metric_or_empty(raw, config, post_id)
     if config.classifier == CLASSIFIER_NB:
         return {i: v for i, v in raw.items() if v > 0}
     return raw
@@ -357,14 +379,18 @@ def train_two_stage(
     )
 
 
-def _score(stage: StageModel, vec: dict[int, float]) -> tuple[str, float]:
-    """Score step: the stage's label and score for one metric vector."""
+def _score(stage: StageModel, vec: dict[int, float], positive_only: bool) -> tuple[str, float]:
+    """Score step: the stage's label and score for one metric vector.
+
+    positive_only skips the values that ``_classifier_vector`` drops for NB.
+    """
     # accumulate in the vector's order, as predict_nb/predict_svm do, so the
     # scores are bit-identical to theirs (a numpy dot would reorder the sum)
     score = stage.bias
-    weights = stage.weights
+    weights = stage.weight_list
     for idx, val in vec.items():
-        score += val * weights[idx]
+        if val > 0 or not positive_only:
+            score += val * weights[idx]
     return decide(score, stage.classes, stage.class_counts), score
 
 
@@ -374,22 +400,33 @@ def _predict_stage(
     config: PipelineConfig,
     rules: Optional[RuleLexicons],
     post_id: str = "?",
+    grams: Optional[tuple[list, Optional[list[int]]]] = None,
 ) -> tuple[str, float]:
-    stage_tokens = stem_tokens(stage.stem_trie, tokens) if stage.stem_trie else tokens
-    return _score(stage, vectorize(stage_tokens, stage.dictionary, config, rules, post_id))
+    """Label and score of one post by one stage; grams, when given, are the
+    ``post_ngrams`` of tokens, which a stage without a trie sees unchanged."""
+    if grams is None:
+        stage_tokens = stem_tokens(stage.stem_trie, tokens) if stage.stem_trie else tokens
+        grams = post_ngrams(stage_tokens, stage.dictionary.ngram_sizes, rules, config.rule_mode)
+    raw = _raw_metric(config.metric, count_ngrams(*grams, stage.dictionary), stage.dictionary)
+    return _score(stage, _metric_or_empty(raw, config, post_id), config.classifier == CLASSIFIER_NB)
 
 
 def classify_post(model: TwoStageModel, text: str, post_id: str = "?") -> PostClassification:
     """Stage 1 decides objective vs subjective; stage 2 runs only on subjective posts."""
-    tokens = _base_tokens(text, model.config, model.stop_list)
+    config = model.config
+    tokens = _base_tokens(text, config, model.stop_list)
+    grams = None
+    if not config.stemming:
+        # both stages see the same tokens and n-gram sizes: build the n-grams once
+        grams = post_ngrams(tokens, NGRAM_SIZES[config.ngrams], model.rules, config.rule_mode)
     subj_label, subj_score = _predict_stage(
-        model.subjectivity, tokens, model.config, model.rules, post_id
+        model.subjectivity, tokens, config, model.rules, post_id, grams
     )
     if subj_label == LABEL_OBJECTIVE:
         return PostClassification(
             label=LABEL_OBJECTIVE, subjectivity_score=subj_score, polarity_score=None
         )
-    pol_label, pol_score = _predict_stage(model.polarity, tokens, model.config, model.rules, post_id)
+    pol_label, pol_score = _predict_stage(model.polarity, tokens, config, model.rules, post_id, grams)
     return PostClassification(
         label=pol_label, subjectivity_score=subj_score, polarity_score=pol_score
     )
@@ -543,8 +580,8 @@ def _evaluate_configs(
             stages[name] = _fit_stage(name, f.trie, f.dictionary, vectors, labels, config)
 
         def label_of(name: str, i: int) -> str:
-            vec = _classifier_vector(raw[name].held_out[i], config, test_posts[i].id)
-            return _score(stages[name], vec)[0]
+            vec = _metric_or_empty(raw[name].held_out[i], config, test_posts[i].id)
+            return _score(stages[name], vec, config.classifier == CLASSIFIER_NB)[0]
 
         subj_correct = pol_correct = pol_total = e2e_correct = 0
         confusion = {g: {p: 0 for p in GOLD_LABELS} for g in GOLD_LABELS}
@@ -780,7 +817,7 @@ def grid_cells(table: str, base: PipelineConfig) -> list[GridCell]:
 # ---------------------------------------------------------------------------
 
 MODEL_FORMAT = "opmine-two-stage"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 _MODEL_KEYS = {"format", "format_version", "tool_version", "config", "stop_words", "rules", "stages"}
 _CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
@@ -792,9 +829,16 @@ class ModelFormatError(ValueError):
     """Raised when a model file cannot be parsed or fails validation."""
 
 
+# A token never holds a space (tokens are runs of letters and digits, stems their
+# prefixes, and tags only prefix NEG_/EMP_), so an n-gram is stored space-joined.
+_NGRAM_SEP = " "
+# weights are stored as base64 of little-endian float64
+_WEIGHT_DTYPE = "<f8"
+
+
 def _dictionary_payload(dictionary: FeatureDictionary) -> dict:
     return {
-        "ngrams": [list(g) for g in dictionary.entries],
+        "ngrams": list(map(_NGRAM_SEP.join, dictionary.entries)),
         "doc_freq": list(dictionary.doc_freq),
         "n_docs": dictionary.n_docs,
         "sizes": list(dictionary.ngram_sizes),
@@ -814,7 +858,7 @@ def _stage_payload(stage: StageModel) -> dict:
         "dictionary": dictionary,
         "fingerprint": dictionary_fingerprint(dictionary),
         "stem_vocabulary": sorted(stage.stem_trie.vocabulary) if stage.stem_trie else None,
-        "weights": stage.weights.tolist(),
+        "weights": base64.b64encode(stage.weights.astype(_WEIGHT_DTYPE).tobytes()).decode("ascii"),
         "bias": stage.bias,
         "class_counts": list(stage.class_counts),
     }
@@ -840,7 +884,8 @@ def model_to_json(model: TwoStageModel) -> str:
             STAGE_POLARITY: _stage_payload(model.polarity),
         },
     }
-    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=1) + "\n"
+    # no indent, so that json's C encoder runs
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 def save_model(model: TwoStageModel, path: str | Path) -> None:
@@ -873,11 +918,12 @@ def _dictionary_from_payload(payload: dict, ngrams: str) -> FeatureDictionary:
     if payload["sizes"] != list(sizes) or {type(n) for n in payload["sizes"]} != {int}:
         raise ValueError(f"sizes must be {list(sizes)} for ngrams={ngrams!r}, got {payload['sizes']!r}")
     grams, doc_freq, n_docs = payload["ngrams"], payload["doc_freq"], payload["n_docs"]
-    if not (
-        isinstance(grams, list) and grams and set(map(type, grams)) == {list}
-        and set(map(len, grams)) <= set(sizes) and set(map(type, chain.from_iterable(grams))) == {str}
-    ):
-        raise ValueError(f"ngrams must be a non-empty list of string lists of a length in {sizes}")
+    if not (isinstance(grams, list) and grams and set(map(type, grams)) == {str}):
+        raise ValueError("ngrams must be a non-empty list of strings")
+    # a repeated n-gram leaves fewer entries than doc_freq values, which FeatureDictionary rejects
+    entries = dict(zip(map(tuple, map(str.split, grams, repeat(_NGRAM_SEP))), range(len(grams))))
+    if not set(map(len, entries)) <= set(sizes) or "" in chain.from_iterable(entries):
+        raise ValueError(f"ngrams must be {sizes} non-empty tokens joined by single spaces")
     # type(), not isinstance(): a bool is an int but no count
     if not (isinstance(doc_freq, list) and set(map(type, [*doc_freq, n_docs])) == {int}):
         raise ValueError("doc_freq and n_docs must be integers")
@@ -886,7 +932,7 @@ def _dictionary_from_payload(payload: dict, ngrams: str) -> FeatureDictionary:
     except OverflowError:
         raise ValueError("n_docs must convert to a finite float") from None
     return FeatureDictionary(
-        entries={tuple(g): i for i, g in enumerate(grams)},
+        entries=entries,
         doc_freq=tuple(doc_freq),
         n_docs=n_docs,
         ngram_sizes=sizes,
@@ -912,19 +958,25 @@ def _stage_from_payload(name: str, payload: object, config: PipelineConfig) -> S
     classes = STAGE_CLASSES[name]
     if payload["classes"] != list(classes):
         raise ModelFormatError(f"{where}: classes must be {list(classes)}, got {payload['classes']!r}")
-    weights = payload["weights"]
-    if not isinstance(weights, list) or len(weights) != len(dictionary):
-        raise ModelFormatError(f"{where}: expected a list of {len(dictionary)} weights, one per n-gram")
-    values = weights + [payload["bias"]]
-    # type(), not isinstance(): a bool is an int but no weight
-    if not set(map(type, values)) <= {int, float}:
+    m = len(dictionary)
+    try:
+        packed = base64.b64decode(payload["weights"], validate=True)
+    except (TypeError, ValueError):  # not a str, non-ASCII or not base64 (binascii.Error)
+        packed = None
+    if packed is None or len(packed) != 8 * m:
+        raise ModelFormatError(
+            f"{where}: weights must be base64 of {m} little-endian float64 numbers, one per n-gram"
+        )
+    weights = np.frombuffer(packed, dtype=_WEIGHT_DTYPE)
+    bias = payload["bias"]
+    # type(), not isinstance(): a bool is an int but no bias
+    if type(bias) not in (int, float):
         raise ModelFormatError(f"{where}: weights and bias must be numbers")
     try:
-        values = np.array(values, dtype=np.float64)
-        finite = np.isfinite(values).all()
+        bias = float(bias)
     except OverflowError:  # an integer literal beyond the float range
-        finite = False
-    if not finite:
+        bias = math.inf
+    if not (math.isfinite(bias) and np.isfinite(weights).all()):
         raise ModelFormatError(f"{where}: weights and bias must be finite")
     counts = payload["class_counts"]
     if not (
@@ -938,8 +990,8 @@ def _stage_from_payload(name: str, payload: object, config: PipelineConfig) -> S
     return StageModel(
         classes=classes,
         dictionary=dictionary,
-        weights=values[:-1],
-        bias=float(values[-1]),
+        weights=weights,
+        bias=bias,
         class_counts=(counts[0], counts[1]),
         stem_trie=trie,
     )
@@ -949,7 +1001,9 @@ def load_model(path: str | Path) -> TwoStageModel:
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (json.JSONDecodeError, RecursionError) as exc:  # recursion: JSON nested too deeply
+    # ValueError: not JSON, not UTF-8 or an integer too long to convert;
+    # RecursionError: JSON nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"cannot parse model file {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path} is not a {MODEL_FORMAT} model file")

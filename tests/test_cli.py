@@ -1,6 +1,8 @@
+import base64
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from opmine.cli import main
@@ -132,9 +134,22 @@ class TestClassify:
 DELETE = object()
 POLARITY = ("stages", "polarity")
 
+
+def _unpacked(packed):
+    """A stage's packed weights as a list of floats."""
+    return np.frombuffer(base64.b64decode(packed), dtype="<f8").tolist()
+
+
+def _repacked(edit):
+    """A value edit of a stage's packed weights: edit maps the list of floats to a new one."""
+    return lambda packed: base64.b64encode(np.array(edit(_unpacked(packed)), dtype="<f8").tobytes()).decode()
+
+
 MALFORMED_MODELS = [
-    # (path to the edited value, new value or DELETE, text the error must name)
+    # (path to the edited value, new value, DELETE or a function of the old value,
+    # text the error must name)
     pytest.param(("format_version",), 1, "retrain", id="v1-file"),
+    pytest.param(("format_version",), 2, "retrain", id="v2-file"),
     pytest.param(("config", "colour"), "red", "colour", id="unknown-config-key"),
     pytest.param(("config", "seed"), DELETE, "seed", id="missing-config-key"),
     pytest.param(("config", "min_count"), "5", "config", id="bad-config-value"),
@@ -142,12 +157,16 @@ MALFORMED_MODELS = [
     pytest.param(POLARITY, DELETE, "polarity", id="missing-stage"),
     pytest.param(("stages", "subjectivity", "bias"), DELETE, "bias", id="missing-stage-key"),
     pytest.param((*POLARITY, "dictionary", "ngrams", 0), 7, "dictionary", id="bad-ngram"),
-    pytest.param((*POLARITY, "weights", -1), DELETE, "weights", id="truncated-weights"),
-    pytest.param((*POLARITY, "weights", 0), float("nan"), "finite", id="nan-weight"),
-    pytest.param((*POLARITY, "weights", 0), "0.5", "numbers", id="string-weight"),
+    pytest.param((*POLARITY, "weights"), _repacked(lambda w: w[:-1]), "weights", id="truncated-weights"),
+    pytest.param((*POLARITY, "weights"), _repacked(lambda w: [float("nan"), *w[1:]]), "finite",
+                 id="nan-weight"),
+    # the weights as a JSON list of numbers, as format version 2 stored them
+    pytest.param((*POLARITY, "weights"), _unpacked, "numbers", id="string-weight"),
+    pytest.param((*POLARITY, "weights"), lambda packed: "!" + packed[1:], "weights", id="invalid-base64"),
     pytest.param(("stages", "subjectivity", "bias"), float("inf"), "finite", id="inf-bias"),
     pytest.param((*POLARITY, "classes"), ["negative", "positive"], "classes", id="swapped-classes"),
-    pytest.param((*POLARITY, "weights", 0), 10**400, "finite", id="weight-beyond-float"),
+    # a packed weight cannot lie beyond the float range; the stage's one JSON number can
+    pytest.param((*POLARITY, "bias"), 10**400, "finite", id="weight-beyond-float"),
     pytest.param(("stages", "subjectivity", "bias"), -(10**400), "finite", id="bias-beyond-float"),
     pytest.param((*POLARITY, "class_counts"), [-1, 3], "class_counts", id="negative-count"),
     pytest.param((*POLARITY, "class_counts"), [1, 2, 3], "class_counts", id="three-counts"),
@@ -168,6 +187,8 @@ def test_malformed_model_fails_with_one_error_line(model_file, tmp_path, capsys,
         target = target[key]
     if value is DELETE:
         del target[last]
+    elif callable(value):
+        target[last] = value(target[last])
     else:
         target[last] = value
     path = tmp_path / "tampered.json"
@@ -212,6 +233,9 @@ MISTYPED_MODELS = [
     pytest.param({(*DICTIONARY, "ngrams", 0): [1, 2]}, "ngrams", id="int-ngram"),
     pytest.param({(*DICTIONARY, "ngrams", 0): []}, "ngrams", id="empty-ngram"),
     pytest.param({(*DICTIONARY, "ngrams", 0): ["a", "b", "c"]}, "ngrams", id="trigram"),
+    pytest.param({(*DICTIONARY, "ngrams", 0): "a b c"}, "ngrams", id="joined-trigram"),
+    pytest.param({(*DICTIONARY, "ngrams", 0): "a  b"}, "ngrams", id="double-space"),
+    pytest.param({(*DICTIONARY, "ngrams", 0): ""}, "ngrams", id="empty-string"),
     pytest.param({(*DICTIONARY, "doc_freq", 0): 1.5}, "doc_freq", id="float-doc-freq"),
     pytest.param({(*DICTIONARY, "doc_freq", 0): True}, "doc_freq", id="bool-doc-freq"),
     pytest.param({(*DICTIONARY, "n_docs"): 1e9}, "n_docs", id="float-n-docs"),
@@ -314,6 +338,20 @@ def test_non_finite_fit_fails_with_one_error_line(corpus_file, tmp_path, capsys,
     }[command]
     # a numpy overflow warning would fail the test too: pytest turns RuntimeWarning into an error
     _assert_one_error_line(capsys, main([*argv, "--min-count", "2", *flags]), hint)
+    assert not out.exists() and not (tmp_path / "grid").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "evaluate-grid"])
+def test_svm_lambda_above_its_bound_fails_with_one_error_line(corpus_file, tmp_path, capsys, command):
+    # at 1e300 a fit ran and scored every post ~1e-300, labelling all of them negative
+    out = tmp_path / "m.json"
+    argv = {
+        "train": ["train", str(corpus_file), "--out", str(out)],
+        "evaluate": ["evaluate", str(corpus_file), "--folds", "3", "--out", str(out)],
+        "evaluate-grid": ["evaluate", str(corpus_file), "--folds", "3", "--grid", "table1",
+                          "--out", str(tmp_path / "grid")],
+    }[command]
+    _assert_one_error_line(capsys, main([*argv, "--min-count", "2", "--svm-lambda", "1e300"]), "svm_lambda")
     assert not out.exists() and not (tmp_path / "grid").exists()
 
 

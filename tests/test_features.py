@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opmine.features import (
+    NGRAM_SIZES,
+    RULE_MODES,
     FeatureDictionary,
     RuleLexicons,
     ZeroTotalCountError,
@@ -262,6 +264,66 @@ def test_metrics_agree_with_brute_force(posts, sizes):
                 assert got.keys() == want.keys()
                 for i in got:
                     assert got[i] == pytest.approx(want[i], abs=1e-12)
+
+
+# --- rule-aware recount oracle ---------------------------------------------
+
+def naive_rule_counts(tokens, dictionary, rules, rule_mode):
+    """extract_counts written out position by position, sharing no code with it.
+
+    A rule word binds the next non-rule token (the nearer of stacked rule words
+    wins); a trailing one stays as an ordinary token. tag mode prefixes the bound
+    token, signed-count mode weights its unigram -1 (negated) or +2 (emphasized)
+    and drops entries that cancel to zero. Longer n-grams count +1 each.
+    """
+    stream, weights = [], []
+    pending = None
+    for token in tokens:
+        if rule_mode != "off" and (token in rules.negatory or token in rules.emphasizer):
+            pending = token
+            continue
+        weight = 1 if pending is None else -1 if pending in rules.negatory else 2
+        pending = None
+        if rule_mode == "tag":
+            stream.append({1: "", -1: "NEG_", 2: "EMP_"}[weight] + token)
+            weights.append(1)
+        else:
+            stream.append(token)
+            weights.append(weight if rule_mode == "signed-count" else 1)
+    if pending is not None:
+        stream.append(pending)
+        weights.append(1)
+    counts = {}
+    for n in dictionary.ngram_sizes:
+        for start in range(len(stream) - n + 1):
+            idx = dictionary.entries.get(tuple(stream[start : start + n]))
+            if idx is not None:
+                counts[idx] = counts.get(idx, 0) + (weights[start] if n == 1 else 1)
+    if rule_mode == "signed-count":
+        counts = {i: c for i, c in counts.items() if c != 0}
+    return counts
+
+
+@pytest.mark.parametrize("ngrams", list(NGRAM_SIZES))
+@pytest.mark.parametrize("rule_mode", RULE_MODES)
+@settings(max_examples=60, deadline=None)
+@given(
+    posts=st.lists(
+        st.lists(st.sampled_from(["a", "b", "c", "not", "very"]), min_size=2, max_size=10),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_extract_counts_matches_rule_oracle_in_items_and_order(rule_mode, ngrams, posts):
+    sizes = NGRAM_SIZES[ngrams]
+    streams = [rule_adjusted_tokens(tokens, BOTH, rule_mode) for tokens in posts]
+    try:
+        dictionary = build_dictionary(streams, sizes=sizes, min_count=1)
+    except ValueError:
+        return  # e.g. bigrams requested but every stream has a single token
+    for tokens in posts:
+        got = extract_counts(tokens, dictionary, BOTH, rule_mode)
+        assert list(got.items()) == list(naive_rule_counts(tokens, dictionary, BOTH, rule_mode).items())
 
 
 def test_rule_lexicons_must_be_disjoint():

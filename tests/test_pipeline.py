@@ -1,4 +1,6 @@
+import base64
 import json
+import math
 import multiprocessing
 from collections import Counter
 from dataclasses import replace
@@ -13,6 +15,7 @@ from opmine.features import METRICS, RuleLexicons
 from opmine.pipeline import (
     GRID_NAMES,
     STAGE_CLASSES,
+    SVM_LAMBDA_MAX,
     ModelFormatError,
     PipelineConfig,
     _predict_stage,
@@ -78,6 +81,11 @@ class TestConfig:
     def test_rejects_wrong_types(self, name, value):
         with pytest.raises(ValueError, match=name):
             PipelineConfig(**{name: value})
+
+    def test_svm_lambda_bound_is_inclusive(self):
+        assert PipelineConfig(svm_lambda=SVM_LAMBDA_MAX).svm_lambda == SVM_LAMBDA_MAX
+        with pytest.raises(ValueError, match="svm_lambda must be at most"):
+            PipelineConfig(svm_lambda=math.nextafter(SVM_LAMBDA_MAX, math.inf))
 
     def test_dict_round_trip(self):
         cfg = PipelineConfig(metric="presence", classifier="nb", seed=9)
@@ -593,10 +601,13 @@ class TestSVMMatchesDenseOracle:
 
 class TestModelSerialization:
     @pytest.mark.parametrize("clf", ["nb", "svm"])
-    def test_v2_stage_layout(self, separable_corpus, clf):
+    def test_v3_stage_layout(self, separable_corpus, clf):
         cfg = PipelineConfig(metric="count", classifier=clf, min_count=2, svm_epochs=2)
-        payload = json.loads(model_to_json(train_two_stage(separable_corpus, cfg)))
-        assert payload["format_version"] == 2
+        model = train_two_stage(separable_corpus, cfg)
+        text = model_to_json(model)
+        assert text.count("\n") == 1  # one line: no indent
+        payload = json.loads(text)
+        assert payload["format_version"] == 3
         for name, stage in payload["stages"].items():
             assert set(stage) == {
                 "classes",
@@ -608,7 +619,11 @@ class TestModelSerialization:
                 "class_counts",
             }
             assert stage["classes"] == list(STAGE_CLASSES[name])
-            assert len(stage["weights"]) == len(stage["dictionary"]["ngrams"])
+            dictionary = getattr(model, name).dictionary
+            assert stage["dictionary"]["ngrams"] == [" ".join(g) for g in dictionary.entries]
+            packed = base64.b64decode(stage["weights"], validate=True)
+            assert packed == getattr(model, name).weights.astype("<f8").tobytes()
+            assert len(packed) == 8 * len(stage["dictionary"]["ngrams"])
 
     def test_save_next_to_directory_named_like_old_temp_file(self, tmp_path, separable_corpus):
         model = train_two_stage(separable_corpus, NB_CFG)
@@ -724,7 +739,8 @@ def test_lexicon_model_loads_unchanged(lexicon_model_payload, tmp_path):
 @pytest.mark.parametrize(
     "keys, value, hint",
     [
-        pytest.param(("stages", "polarity", "weights", 0), 10**400, "finite", id="weight-beyond-float"),
+        # a packed weight cannot lie beyond the float range; the stage's one JSON number can
+        pytest.param(("stages", "polarity", "bias"), 10**400, "finite", id="weight-beyond-float"),
         pytest.param(("stages", "subjectivity", "bias"), -(10**400), "finite", id="bias-beyond-float"),
         pytest.param(("config", "svm_lambda"), float("nan"), "svm_lambda", id="nan-lambda"),
         pytest.param(("config", "nb_smoothing"), 0.0, "nb_smoothing", id="zero-smoothing"),
