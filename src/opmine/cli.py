@@ -126,8 +126,8 @@ def _write_manifest(path: Path, command: str, config_info, inputs: dict, outputs
 
 def cmd_train(args) -> int:
     config, stop_list, rules, input_paths = _build_inputs(args)
-    corpus = load_corpus(args.corpus)
-    model = train_two_stage(corpus, config, stop_list, rules)
+    # the corpus is not held across save_model, so encoding the model reuses its memory
+    model = train_two_stage(load_corpus(args.corpus), config, stop_list, rules)
     out = Path(args.out)
     save_model(model, out)
     input_paths["corpus"] = args.corpus

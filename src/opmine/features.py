@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 RULE_MODE_OFF = "off"
 RULE_MODE_TAG = "tag"
@@ -39,7 +39,10 @@ NGRAM_SIZES = {
 NEG_TAG = "NEG_"
 EMP_TAG = "EMP_"
 
-NGram = tuple[str, ...]
+# Tokens hold no space (they are runs of letters and digits, stems their prefixes,
+# tags only prefix NEG_/EMP_), so an n-gram is its tokens joined by one space.
+NGRAM_SEP = " "
+NGram = str
 
 
 class ZeroTotalCountError(ValueError):
@@ -82,9 +85,9 @@ class FeatureDictionary:
         return len(self.entries)
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Iterator[NGram]:
+def _ngrams(tokens: Sequence[str], n: int) -> Iterable[NGram]:
     """The post's n-grams of one size, in order."""
-    return zip(tokens, *[tokens[i:] for i in range(1, n)])
+    return tokens if n == 1 else map(NGRAM_SEP.join, zip(tokens, *[tokens[i:] for i in range(1, n)]))
 
 
 def _rule_walk(tokens: Sequence[str], rules: RuleLexicons) -> tuple[list[str], list[int]]:

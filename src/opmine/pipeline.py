@@ -17,7 +17,7 @@ import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -37,6 +37,7 @@ from .corpus import (
 )
 from .features import (
     METRICS,
+    NGRAM_SEP,
     NGRAM_SIZES,
     RULE_MODE_OFF,
     RULE_MODE_SIGNED,
@@ -829,16 +830,13 @@ class ModelFormatError(ValueError):
     """Raised when a model file cannot be parsed or fails validation."""
 
 
-# A token never holds a space (tokens are runs of letters and digits, stems their
-# prefixes, and tags only prefix NEG_/EMP_), so an n-gram is stored space-joined.
-_NGRAM_SEP = " "
 # weights are stored as base64 of little-endian float64
 _WEIGHT_DTYPE = "<f8"
 
 
 def _dictionary_payload(dictionary: FeatureDictionary) -> dict:
     return {
-        "ngrams": list(map(_NGRAM_SEP.join, dictionary.entries)),
+        "ngrams": list(dictionary.entries),
         "doc_freq": list(dictionary.doc_freq),
         "n_docs": dictionary.n_docs,
         "sizes": list(dictionary.ngram_sizes),
@@ -920,9 +918,10 @@ def _dictionary_from_payload(payload: dict, ngrams: str) -> FeatureDictionary:
     grams, doc_freq, n_docs = payload["ngrams"], payload["doc_freq"], payload["n_docs"]
     if not (isinstance(grams, list) and grams and set(map(type, grams)) == {str}):
         raise ValueError("ngrams must be a non-empty list of strings")
-    # a repeated n-gram leaves fewer entries than doc_freq values, which FeatureDictionary rejects
-    entries = dict(zip(map(tuple, map(str.split, grams, repeat(_NGRAM_SEP))), range(len(grams))))
-    if not set(map(len, entries)) <= set(sizes) or "" in chain.from_iterable(entries):
+    # a token is empty where two separators meet or one ends the n-gram; joined,
+    # with a separator at each end, every such place is two separators meeting
+    seps = set(map(str.count, grams, repeat(NGRAM_SEP)))
+    if not seps <= {n - 1 for n in sizes} or 2 * NGRAM_SEP in NGRAM_SEP.join(["", *grams, ""]):
         raise ValueError(f"ngrams must be {sizes} non-empty tokens joined by single spaces")
     # type(), not isinstance(): a bool is an int but no count
     if not (isinstance(doc_freq, list) and set(map(type, [*doc_freq, n_docs])) == {int}):
@@ -931,12 +930,8 @@ def _dictionary_from_payload(payload: dict, ngrams: str) -> FeatureDictionary:
         float(n_docs)  # ifrequency divides it as a float
     except OverflowError:
         raise ValueError("n_docs must convert to a finite float") from None
-    return FeatureDictionary(
-        entries=entries,
-        doc_freq=tuple(doc_freq),
-        n_docs=n_docs,
-        ngram_sizes=sizes,
-    )
+    # a repeated n-gram leaves fewer entries than doc_freq values, which FeatureDictionary rejects
+    return FeatureDictionary(dict(zip(grams, range(len(grams)))), tuple(doc_freq), n_docs, sizes)
 
 
 def _stage_from_payload(name: str, payload: object, config: PipelineConfig) -> StageModel:
@@ -1014,6 +1009,8 @@ def load_model(path: str | Path) -> TwoStageModel:
             f"version {MODEL_FORMAT_VERSION}; retrain the model with 'opmine train'"
         )
     _check_keys("model", payload, _MODEL_KEYS)
+    if not isinstance(payload["tool_version"], str):
+        raise ModelFormatError(f"tool_version must be a string, got {payload['tool_version']!r}")
     _check_keys("config", payload["config"], _CONFIG_KEYS)
     try:
         config = PipelineConfig.from_dict(payload["config"])

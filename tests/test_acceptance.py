@@ -187,7 +187,7 @@ def test_criterion_5_rule_bigram_semantics(synth300):
     neg = RuleLexicons(negatory=frozenset({"not"}))
     emp = RuleLexicons(emphasizer=frozenset({"very"}))
     d = build_dictionary([["good", "good"]], sizes=(1,), min_count=1)
-    good = d.entries[("good",)]
+    good = d.entries["good"]
 
     # "not good" is considered -1 occurrence of "good"
     assert extract_counts(["not", "good"], d, neg, "signed-count") == {good: -1}
@@ -198,7 +198,7 @@ def test_criterion_5_rule_bigram_semantics(synth300):
     assert extract_counts(["not", "good", "good"], d, neg, "signed-count") == {}
     # tag mode merges the pair into one unigram
     d_tag = build_dictionary([["NEG_good"]], sizes=(1,), min_count=1)
-    assert extract_counts(["not", "good"], d_tag, neg, "tag") == {d_tag.entries[("NEG_good",)]: 1}
+    assert extract_counts(["not", "good"], d_tag, neg, "tag") == {d_tag.entries["NEG_good"]: 1}
 
     # signed-count with empty lexicons is bit-identical to off mode corpus-wide
     empty = RuleLexicons()

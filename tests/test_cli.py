@@ -252,6 +252,10 @@ MISTYPED_MODELS = [
     pytest.param({("config", "stemming"): 1}, "stemming", id="int-stemming"),
     pytest.param({(*DICTIONARY, "sizes"): [1.0, 2.0]}, "sizes", id="float-sizes"),
     pytest.param({(*DICTIONARY, "sizes"): [True, 2]}, "sizes", id="bool-size"),
+    pytest.param({("tool_version",): None}, "tool_version", id="null-tool-version"),
+    pytest.param({("tool_version",): 3}, "tool_version", id="int-tool-version"),
+    pytest.param({("tool_version",): [1]}, "tool_version", id="list-tool-version"),
+    pytest.param({("tool_version",): {"a": 1}}, "tool_version", id="object-tool-version"),
 ]
 
 

@@ -29,27 +29,27 @@ BOTH = RuleLexicons(negatory=frozenset({"not"}), emphasizer=frozenset({"very"}))
 class TestBuildDictionary:
     def test_min_count_pruning(self):
         d = build_dictionary([["a", "b"], ["a", "c"], ["a"]], sizes=(1,), min_count=2)
-        assert list(d.entries) == [("a",)]
+        assert list(d.entries) == ["a"]
         assert d.doc_freq == (3,)
         assert d.n_docs == 3
 
     def test_no_pruning(self):
         d = build_dictionary([["a", "b"], ["a", "c"], ["a"]], sizes=(1,), min_count=1)
-        assert set(d.entries) == {("a",), ("b",), ("c",)}
+        assert set(d.entries) == {"a", "b", "c"}
 
     def test_adjacent_bigrams(self):
         d = build_dictionary([["a", "b", "c"]], sizes=(2,), min_count=1)
-        assert set(d.entries) == {("a", "b"), ("b", "c")}
+        assert set(d.entries) == {"a b", "b c"}
 
     def test_mixed_sizes(self):
         d = build_dictionary([["a", "b"]], sizes=(1, 2), min_count=1)
-        assert set(d.entries) == {("a",), ("b",), ("a", "b")}
+        assert set(d.entries) == {"a", "b", "a b"}
 
     def test_total_occurrences_not_doc_freq(self):
         # "b" appears 3 times in one post: total-count pruning keeps it at min_count=3
         d = build_dictionary([["b", "b", "b"], ["a"], ["a"], ["a"]], sizes=(1,), min_count=3)
-        assert set(d.entries) == {("a",), ("b",)}
-        assert d.doc_freq[d.entries[("b",)]] == 1
+        assert set(d.entries) == {"a", "b"}
+        assert d.doc_freq[d.entries["b"]] == 1
 
     def test_everything_pruned_is_an_error(self):
         with pytest.raises(ValueError, match="untrainable"):
@@ -58,7 +58,7 @@ class TestBuildDictionary:
     def test_indices_dense_and_ordered(self):
         d = build_dictionary([["b", "a"], ["c", "a"]], sizes=(1,), min_count=1)
         assert list(d.entries.values()) == [0, 1, 2]
-        assert list(d.entries) == [("b",), ("a",), ("c",)]  # first-occurrence order
+        assert list(d.entries) == ["b", "a", "c"]  # first-occurrence order
 
 
 class TestRuleTransforms:
@@ -77,7 +77,7 @@ class TestRuleTransforms:
     def test_dictionary_sees_merged_tokens(self):
         streams = [rule_adjusted_tokens(["not", "good"], NEG, "tag")]
         d = build_dictionary(streams, sizes=(1,), min_count=1)
-        assert ("NEG_good",) in d.entries
+        assert "NEG_good" in d.entries
 
     def test_rules_required_for_non_off_modes(self):
         d = build_dictionary([["a"]], sizes=(1,), min_count=1)
@@ -91,18 +91,18 @@ class TestExtractCounts:
     def test_plain_counting(self):
         d = build_dictionary([["a", "b", "a"]], sizes=(1,), min_count=1)
         counts = extract_counts(["a", "b", "a", "z"], d)
-        assert counts == {d.entries[("a",)]: 2, d.entries[("b",)]: 1}
+        assert counts == {d.entries["a"]: 2, d.entries["b"]: 1}
 
     def test_tag_mode_counts_merged_unigram(self):
         streams = [rule_adjusted_tokens(["not", "good"], NEG, "tag")]
         d = build_dictionary(streams, sizes=(1,), min_count=1)
         counts = extract_counts(["not", "good"], d, NEG, "tag")
-        assert counts == {d.entries[("NEG_good",)]: 1}
+        assert counts == {d.entries["NEG_good"]: 1}
 
     def test_signed_emphasis_counts_double(self):
         d = build_dictionary([["good", "good"]], sizes=(1,), min_count=1)
         counts = extract_counts(["very", "good", "good"], d, EMP, "signed-count")
-        assert counts == {d.entries[("good",)]: 3}  # 2 + 1
+        assert counts == {d.entries["good"]: 3}  # 2 + 1
 
     def test_signed_negation_cancels(self):
         d = build_dictionary([["good", "good"]], sizes=(1,), min_count=1)
@@ -112,14 +112,14 @@ class TestExtractCounts:
     def test_signed_negation_alone_is_minus_one(self):
         d = build_dictionary([["good"]], sizes=(1,), min_count=1)
         counts = extract_counts(["not", "good"], d, NEG, "signed-count")
-        assert counts == {d.entries[("good",)]: -1}
+        assert counts == {d.entries["good"]: -1}
 
     def test_signed_bigrams_over_consumed_stream(self):
         d = build_dictionary([["good", "movie"]], sizes=(1, 2), min_count=1)
         counts = extract_counts(["not", "good", "movie"], d, NEG, "signed-count")
-        assert counts[d.entries[("good", "movie")]] == 1
-        assert counts[d.entries[("good",)]] == -1
-        assert counts[d.entries[("movie",)]] == 1
+        assert counts[d.entries["good movie"]] == 1
+        assert counts[d.entries["good"]] == -1
+        assert counts[d.entries["movie"]] == 1
 
     def test_out_of_dictionary_ngrams_skipped(self):
         d = build_dictionary([["a"]], sizes=(1,), min_count=1)
@@ -134,7 +134,7 @@ class TestExtractCounts:
 
 
 def _dict_with(doc_freq, n_docs):
-    entries = {(f"w{i}",): i for i in range(len(doc_freq))}
+    entries = {f"w{i}": i for i in range(len(doc_freq))}
     return FeatureDictionary(
         entries=entries, doc_freq=tuple(doc_freq), n_docs=n_docs, ngram_sizes=(1,)
     )
@@ -214,8 +214,9 @@ def brute_force_counts(tokens, dictionary):
     """Scan the token list once per dictionary entry; no shared code with extract_counts."""
     out = {}
     for gram, idx in dictionary.entries.items():
-        n = len(gram)
-        hits = sum(1 for i in range(len(tokens) - n + 1) if tuple(tokens[i : i + n]) == gram)
+        parts = gram.split(" ")
+        n = len(parts)
+        hits = sum(1 for i in range(len(tokens) - n + 1) if tokens[i : i + n] == parts)
         if hits:
             out[idx] = hits
     return out
@@ -296,7 +297,7 @@ def naive_rule_counts(tokens, dictionary, rules, rule_mode):
     counts = {}
     for n in dictionary.ngram_sizes:
         for start in range(len(stream) - n + 1):
-            idx = dictionary.entries.get(tuple(stream[start : start + n]))
+            idx = dictionary.entries.get(" ".join(stream[start : start + n]))
             if idx is not None:
                 counts[idx] = counts.get(idx, 0) + (weights[start] if n == 1 else 1)
     if rule_mode == "signed-count":

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from opmine.cli import main
 from opmine.corpus import save_corpus
+from opmine.features import NGRAM_SIZES
+from opmine.pipeline import _dictionary_from_payload
 from opmine.synthetic import EMPHASIZER_WORDS, NEGATORY_WORDS, generate_corpus
 
 STAGES = ("subjectivity", "polarity")
@@ -113,3 +115,39 @@ def test_unmutated_model_classifies(model_case):
     with redirect_stdout(out):
         assert main(["classify", "--model", str(path), "--text", "x"]) == 0
     assert json.loads(out.getvalue())["id"] == "text"
+
+
+# --- the loader's n-gram rule ----------------------------------------------
+
+def _split_rule_accepts(grams, sizes):
+    """The stored n-gram rule, written with str.split: every string splits at
+    single spaces into a number of non-empty tokens in sizes, and none repeats."""
+    parts = [g.split(" ") for g in grams]
+    return all(len(p) in sizes and "" not in p for p in parts) and len(set(grams)) == len(grams)
+
+
+def _loader_accepts(grams, ngrams):
+    payload = {"ngrams": grams, "doc_freq": [1] * len(grams), "n_docs": 1, "sizes": list(NGRAM_SIZES[ngrams])}
+    try:
+        _dictionary_from_payload(payload, ngrams)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("ngrams", list(NGRAM_SIZES))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(grams=st.lists(st.text(alphabet="ab \n", max_size=6), min_size=1, max_size=6))
+def test_loader_ngram_check_matches_split_rule(ngrams, grams):
+    assert _loader_accepts(grams, ngrams) == _split_rule_accepts(grams, NGRAM_SIZES[ngrams])
+
+
+@pytest.mark.parametrize("ngrams", list(NGRAM_SIZES))
+@pytest.mark.parametrize("bad", ["", " a", "a ", "a  b"])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+def test_loader_rejects_an_empty_token_at_either_end_of_the_list(ngrams, bad, first):
+    good = ["b" if n == 1 else "a b" for n in NGRAM_SIZES[ngrams]]
+    assert _loader_accepts(good, ngrams)
+    grams = [bad, *good] if first else [*good, bad]
+    assert not _split_rule_accepts(grams, NGRAM_SIZES[ngrams])
+    assert not _loader_accepts(grams, ngrams)

@@ -456,8 +456,8 @@ class TestNoLeakage:
                 if p.label in ("positive", "negative")
                 for t in tokenize(p.text)
             }
-            assert all(g[0] in subj_vocab for g in model.subjectivity.dictionary.entries)
-            assert all(g[0] in pol_vocab for g in model.polarity.dictionary.entries)
+            assert all(set(g.split(" ")) <= subj_vocab for g in model.subjectivity.dictionary.entries)
+            assert all(set(g.split(" ")) <= pol_vocab for g in model.polarity.dictionary.entries)
 
 
 class TestGrids:
@@ -620,7 +620,7 @@ class TestModelSerialization:
             }
             assert stage["classes"] == list(STAGE_CLASSES[name])
             dictionary = getattr(model, name).dictionary
-            assert stage["dictionary"]["ngrams"] == [" ".join(g) for g in dictionary.entries]
+            assert stage["dictionary"]["ngrams"] == list(dictionary.entries)
             packed = base64.b64decode(stage["weights"], validate=True)
             assert packed == getattr(model, name).weights.astype("<f8").tobytes()
             assert len(packed) == 8 * len(stage["dictionary"]["ngrams"])
