@@ -74,8 +74,6 @@ class FeatureDictionary:
     def __post_init__(self) -> None:
         if len(self.doc_freq) != len(self.entries):
             raise ValueError("doc_freq length must match the number of entries")
-        if sorted(self.entries.values()) != list(range(len(self.entries))):
-            raise ValueError("entry indices must be dense 0..m-1")
         if self.doc_freq and not (min(self.doc_freq) >= 1 and max(self.doc_freq) <= self.n_docs):
             # the scan only names the first bad index
             i, df = next((i, df) for i, df in enumerate(self.doc_freq) if not 1 <= df <= self.n_docs)

@@ -130,6 +130,8 @@ class PipelineConfig:
             raise ValueError(f"svm_lambda must be at most {SVM_LAMBDA_MAX:g}, got {self.svm_lambda}")
         if self.svm_epochs < 1:
             raise ValueError(f"svm_epochs must be positive, got {self.svm_epochs}")
+        if self.seed < 0:  # numpy's generator takes no negative seed
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -192,10 +194,13 @@ def _raw_metric(
         return None
 
 
-def _metric_or_empty(
+def _classifier_vector(
     raw: Optional[dict[int, float]], config: PipelineConfig, post_id: str
 ) -> dict[int, float]:
-    """A zero total count under frequency metrics maps to an empty vector (logged)."""
+    """The one rule from a metric vector to the vector a stage fits or scores: a
+    zero total count (None) gives the empty vector (logged), and NB keeps only
+    the positive values, as its event model cannot take others (the SVM
+    consumes signed values as-is)."""
     if raw is None:
         logger.warning(
             "post %s: zero total in-dictionary count under metric %r; using empty vector",
@@ -203,16 +208,6 @@ def _metric_or_empty(
             config.metric,
         )
         return {}
-    return raw
-
-
-def _classifier_vector(
-    raw: Optional[dict[int, float]], config: PipelineConfig, post_id: str
-) -> dict[int, float]:
-    """A shared metric vector with the two pipeline-level fallbacks: the empty
-    vector of ``_metric_or_empty``, and for NB only its positive values, as its
-    event model cannot take others (the SVM consumes signed values as-is)."""
-    raw = _metric_or_empty(raw, config, post_id)
     if config.classifier == CLASSIFIER_NB:
         return {i: v for i, v in raw.items() if v > 0}
     return raw
@@ -380,18 +375,14 @@ def train_two_stage(
     )
 
 
-def _score(stage: StageModel, vec: dict[int, float], positive_only: bool) -> tuple[str, float]:
-    """Score step: the stage's label and score for one metric vector.
-
-    positive_only skips the values that ``_classifier_vector`` drops for NB.
-    """
+def _score(stage: StageModel, vec: dict[int, float]) -> tuple[str, float]:
+    """Score step: the stage's label and score for one ``_classifier_vector``."""
     # accumulate in the vector's order, as predict_nb/predict_svm do, so the
     # scores are bit-identical to theirs (a numpy dot would reorder the sum)
     score = stage.bias
     weights = stage.weight_list
     for idx, val in vec.items():
-        if val > 0 or not positive_only:
-            score += val * weights[idx]
+        score += val * weights[idx]
     return decide(score, stage.classes, stage.class_counts), score
 
 
@@ -409,7 +400,7 @@ def _predict_stage(
         stage_tokens = stem_tokens(stage.stem_trie, tokens) if stage.stem_trie else tokens
         grams = post_ngrams(stage_tokens, stage.dictionary.ngram_sizes, rules, config.rule_mode)
     raw = _raw_metric(config.metric, count_ngrams(*grams, stage.dictionary), stage.dictionary)
-    return _score(stage, _metric_or_empty(raw, config, post_id), config.classifier == CLASSIFIER_NB)
+    return _score(stage, _classifier_vector(raw, config, post_id))
 
 
 def classify_post(model: TwoStageModel, text: str, post_id: str = "?") -> PostClassification:
@@ -435,21 +426,25 @@ def classify_post(model: TwoStageModel, text: str, post_id: str = "?") -> PostCl
 
 @dataclass(frozen=True)
 class FoldEval:
-    """Raw per-fold tallies; aggregation happens in aggregate_report."""
+    """Raw per-fold tallies, pooled by aggregate_report. Polarity is tallied apart
+    from the confusion matrix, as it also scores gold-subjective posts stage 1 missed."""
 
-    subj_correct: int
-    subj_total: int
     pol_correct: int
     pol_total: int
-    e2e_correct: int
-    e2e_total: int
     confusion: dict[str, dict[str, int]] = field(hash=False)
+
+
+def _confusion_tallies(confusion: dict[str, dict[str, int]]) -> tuple[int, int, int]:
+    """Subjectivity-correct, end-to-end-correct and all posts of a confusion matrix."""
+    cells = [(gold, pred, n) for gold, row in confusion.items() for pred, n in row.items()]
+    subj = sum(n for gold, pred, n in cells if (gold == LABEL_OBJECTIVE) == (pred == LABEL_OBJECTIVE))
+    return subj, sum(n for gold, pred, n in cells if gold == pred), sum(n for *_, n in cells)
 
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Pooled accuracies come from summed fold tallies (so the end-to-end one
-    equals confusion trace / total posts); the mean_* fields average the
+    """Pooled accuracies come from the summed fold tallies (subjectivity and
+    end-to-end from the summed confusion matrix); the mean_* fields average the
     per-fold accuracies instead. With equal fold sizes the two coincide."""
 
     k: int
@@ -477,28 +472,26 @@ def aggregate_report(fold_evals: Sequence[FoldEval], k: int) -> EvaluationReport
         for g in GOLD_LABELS:
             for p in GOLD_LABELS:
                 confusion[g][p] += ev.confusion[g][p]
-    subj_total = sum(ev.subj_total for ev in fold_evals)
+    subj_correct, e2e_correct, n_posts = _confusion_tallies(confusion)
     pol_total = sum(ev.pol_total for ev in fold_evals)
-    e2e_total = sum(ev.e2e_total for ev in fold_evals)
-    fold_subj = tuple(ev.subj_correct / ev.subj_total for ev in fold_evals)
-    fold_pol = tuple(
-        (ev.pol_correct / ev.pol_total) if ev.pol_total else None for ev in fold_evals
-    )
-    fold_e2e = tuple(ev.e2e_correct / ev.e2e_total for ev in fold_evals)
+    folds = [_confusion_tallies(ev.confusion) for ev in fold_evals]
+    fold_subj = tuple(subj / n for subj, _, n in folds)
+    fold_pol = tuple(ev.pol_correct / ev.pol_total if ev.pol_total else None for ev in fold_evals)
+    fold_e2e = tuple(e2e / n for _, e2e, n in folds)
     pol_defined = [a for a in fold_pol if a is not None]
     return EvaluationReport(
         k=k,
         fold_subjectivity=fold_subj,
         fold_polarity=fold_pol,
         fold_end_to_end=fold_e2e,
-        subjectivity_accuracy=sum(ev.subj_correct for ev in fold_evals) / subj_total,
+        subjectivity_accuracy=subj_correct / n_posts,
         polarity_accuracy=sum(ev.pol_correct for ev in fold_evals) / pol_total if pol_total else 0.0,
-        end_to_end_accuracy=sum(ev.e2e_correct for ev in fold_evals) / e2e_total,
+        end_to_end_accuracy=e2e_correct / n_posts,
         mean_subjectivity=sum(fold_subj) / len(fold_subj),
         mean_polarity=sum(pol_defined) / len(pol_defined) if pol_defined else None,
         mean_end_to_end=sum(fold_e2e) / len(fold_e2e),
         confusion=confusion,
-        n_posts=e2e_total,
+        n_posts=n_posts,
     )
 
 
@@ -581,32 +574,22 @@ def _evaluate_configs(
             stages[name] = _fit_stage(name, f.trie, f.dictionary, vectors, labels, config)
 
         def label_of(name: str, i: int) -> str:
-            vec = _metric_or_empty(raw[name].held_out[i], config, test_posts[i].id)
-            return _score(stages[name], vec, config.classifier == CLASSIFIER_NB)[0]
+            vec = _classifier_vector(raw[name].held_out[i], config, test_posts[i].id)
+            return _score(stages[name], vec)[0]
 
-        subj_correct = pol_correct = pol_total = e2e_correct = 0
+        pol_correct = pol_total = 0
         confusion = {g: {p: 0 for p in GOLD_LABELS} for g in GOLD_LABELS}
         for i, post in enumerate(test_posts):
             final = label_of(STAGE_SUBJECTIVITY, i)
             if final != LABEL_OBJECTIVE:
                 final = label_of(STAGE_POLARITY, i)
-            subj_correct += (final == LABEL_OBJECTIVE) == (post.label == LABEL_OBJECTIVE)
             if post.label != LABEL_OBJECTIVE:
                 # stage 2 is scored on every gold-subjective post, also on one stage 1 missed
                 pol_label = final if final != LABEL_OBJECTIVE else label_of(STAGE_POLARITY, i)
                 pol_total += 1
                 pol_correct += pol_label == post.label
-            e2e_correct += final == post.label
             confusion[post.label][final] += 1
-        evals.append(FoldEval(
-            subj_correct=subj_correct,
-            subj_total=len(test_posts),
-            pol_correct=pol_correct,
-            pol_total=pol_total,
-            e2e_correct=e2e_correct,
-            e2e_total=len(test_posts),
-            confusion=confusion,
-        ))
+        evals.append(FoldEval(pol_correct=pol_correct, pol_total=pol_total, confusion=confusion))
     return evals
 
 

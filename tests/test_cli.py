@@ -249,6 +249,7 @@ MISTYPED_MODELS = [
     pytest.param({("config", "svm_lambda"): True}, "svm_lambda", id="bool-lambda"),
     pytest.param({("config", "nb_smoothing"): "1"}, "nb_smoothing", id="string-smoothing"),
     pytest.param({("config", "seed"): "x"}, "seed", id="string-seed"),
+    pytest.param({("config", "seed"): -1}, "seed must be non-negative", id="negative-seed"),
     pytest.param({("config", "stemming"): 1}, "stemming", id="int-stemming"),
     pytest.param({(*DICTIONARY, "sizes"): [1.0, 2.0]}, "sizes", id="float-sizes"),
     pytest.param({(*DICTIONARY, "sizes"): [True, 2]}, "sizes", id="bool-size"),
@@ -357,6 +358,20 @@ def test_svm_lambda_above_its_bound_fails_with_one_error_line(corpus_file, tmp_p
     }[command]
     _assert_one_error_line(capsys, main([*argv, "--min-count", "2", "--svm-lambda", "1e300"]), "svm_lambda")
     assert not out.exists() and not (tmp_path / "grid").exists()
+
+
+@pytest.mark.parametrize("classifier", ["nb", "svm"])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_negative_seed_fails_with_one_error_line(corpus_file, tmp_path, capsys, command, classifier):
+    # the SVM failed only after every feature was built, in numpy's words; NB took the seed
+    out = tmp_path / "m.json"
+    argv = {
+        "train": ["train", str(corpus_file), "--out", str(out)],
+        "evaluate": ["evaluate", str(corpus_file), "--folds", "3", "--out", str(out)],
+    }[command]
+    rc = main([*argv, "--min-count", "2", "--classifier", classifier, "--seed", "-1"])
+    _assert_one_error_line(capsys, rc, "seed must be non-negative, got -1")
+    assert not out.exists()
 
 
 def test_single_fold_is_rejected(corpus_file, capsys):

@@ -10,7 +10,7 @@ import pytest
 
 from opmine import pipeline
 from opmine.classify import SVMModel, predict_nb, predict_svm
-from opmine.corpus import Corpus, CorpusError, Post, split_folds
+from opmine.corpus import GOLD_LABELS, Corpus, CorpusError, Post, split_folds
 from opmine.features import METRICS, RuleLexicons
 from opmine.pipeline import (
     GRID_NAMES,
@@ -86,6 +86,11 @@ class TestConfig:
         assert PipelineConfig(svm_lambda=SVM_LAMBDA_MAX).svm_lambda == SVM_LAMBDA_MAX
         with pytest.raises(ValueError, match="svm_lambda must be at most"):
             PipelineConfig(svm_lambda=math.nextafter(SVM_LAMBDA_MAX, math.inf))
+
+    def test_rejects_negative_seed(self):
+        assert PipelineConfig(seed=0).seed == 0
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            PipelineConfig(seed=-1)
 
     def test_dict_round_trip(self):
         cfg = PipelineConfig(metric="presence", classifier="nb", seed=9)
@@ -458,6 +463,48 @@ class TestNoLeakage:
             }
             assert all(set(g.split(" ")) <= subj_vocab for g in model.subjectivity.dictionary.entries)
             assert all(set(g.split(" ")) <= pol_vocab for g in model.polarity.dictionary.entries)
+
+
+def classify_post_confusions(corpus, cfg, rules=None, k=3, extra=()):
+    """Per fold of corpus: the confusion matrix of evaluate_fold, and the one of
+    train_two_stage + classify_post on the same split; extra posts join every
+    held-out set."""
+    plan = split_folds(corpus, k, cfg.seed, stratified=True)
+    labeled = corpus.labeled()
+    for fold in range(k):
+        train = Corpus(posts=tuple(p for p in labeled if plan[p.id] != fold))
+        test = [*(p for p in labeled if plan[p.id] == fold), *extra]
+        model = train_two_stage(train, cfg, rules=rules)
+        want = {g: {p: 0 for p in GOLD_LABELS} for g in GOLD_LABELS}
+        for post in test:
+            want[post.label][classify_post(model, post.text, post.id).label] += 1
+        yield evaluate_fold(train, test, cfg, rules=rules).confusion, want
+
+
+class TestOneVectorRule:
+    """Fit, cross-validation and classify build every vector by one rule, so a
+    fold's confusion matrix is the one its trained model gives on the held-out posts."""
+
+    @pytest.mark.parametrize("clf", ["nb", "svm"])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_fold_confusion_equals_classify_post(self, monkeypatch, metric, clf):
+        force_workers(monkeypatch, 1)
+        corpus = generate_corpus(n_posts=120, seed=13)
+        cfg = PipelineConfig(
+            metric=metric, classifier=clf, rule_mode="signed-count", min_count=2, svm_epochs=5
+        )
+        for got, want in classify_post_confusions(corpus, cfg, rules=rule_lexicons()):
+            assert got == want
+
+    @pytest.mark.parametrize("clf", ["nb", "svm"])
+    def test_post_without_dictionary_ngrams_gets_the_empty_vector(self, monkeypatch, caplog, clf):
+        force_workers(monkeypatch, 1)
+        corpus = generate_corpus(n_posts=120, seed=13)
+        cfg = PipelineConfig(metric="frequency", classifier=clf, min_count=2, svm_epochs=5)
+        unseen = Post(id="unseen", text="qqqq zzzz", label="negative")
+        for got, want in classify_post_confusions(corpus, cfg, extra=[unseen]):
+            assert got == want
+        assert "post unseen: zero total in-dictionary count" in caplog.text
 
 
 class TestGrids:
