@@ -8,10 +8,13 @@ file byte-for-byte.
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from opmine.cli import main as opmine
 from opmine.corpus import save_corpus
+from opmine.pipeline import GRID_NAMES
+from opmine.preprocess import tokenize
 from opmine.synthetic import EMPHASIZER_WORDS, NEGATORY_WORDS, generate_corpus
 
 
@@ -27,23 +30,31 @@ def main() -> None:
     parser.add_argument("--out-dir", type=Path, default=Path("demo-out"))
     parser.add_argument("--n-posts", type=int, default=300)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--grids", nargs="+", default=["table1", "table3", "table4"])
+    parser.add_argument("--grids", nargs="+", choices=GRID_NAMES, default=["table1", "table3", "table4"])
     args = parser.parse_args()
 
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     corpus_path = out / "corpus.jsonl"
-    save_corpus(generate_corpus(n_posts=args.n_posts, seed=args.seed), corpus_path)
+    corpus = generate_corpus(n_posts=args.n_posts, seed=args.seed)
+    save_corpus(corpus, corpus_path)
     neg = out / "negatory.txt"
     emp = out / "emphasizers.txt"
     neg.write_text("\n".join(sorted(NEGATORY_WORDS)) + "\n", encoding="utf-8")
     emp.write_text("\n".join(sorted(EMPHASIZER_WORDS)) + "\n", encoding="utf-8")
+    # table2's stop list: the corpus's 3 most frequent tokens that are not rule words
+    stop = out / "stop_words.txt"
+    freq = Counter(t for post in corpus for t in tokenize(post.text))
+    common = [w for w, _ in freq.most_common() if w not in NEGATORY_WORDS | EMPHASIZER_WORDS]
+    stop.write_text("\n".join(common[:3]) + "\n", encoding="utf-8")
 
     for grid in args.grids:
         grid_args = [
             "evaluate", str(corpus_path), "--grid", grid,
             "--seed", str(args.seed), "--out", str(out / grid),
         ]
+        if grid == "table2":
+            grid_args += ["--stop-words", str(stop)]
         if grid == "table4":
             grid_args += ["--rules", f"neg={neg},emp={emp}"]
         run(grid_args)

@@ -37,7 +37,7 @@ from .pipeline import (
     train_two_stage,
 )
 from .preprocess import load_word_list
-from .stats import MoodTable, emit_report, mood_by_month, mood_by_topic
+from .stats import emit_report, mood_by_month, mood_by_topic
 
 
 def _parse_rules_spec(spec: str) -> tuple[RuleLexicons, str, dict]:
@@ -263,7 +263,6 @@ def cmd_stats(args) -> int:
     if corpus and not have_attr:
         attr = "topic" if args.by == "topic" else "timestamp"
         print(f"warning: no post carries a {attr}; emitting an empty table", file=sys.stderr)
-        table = MoodTable(rows={})
     out = Path(args.out)
     emit_report(table, out, fmt=args.format)
     _write_manifest(

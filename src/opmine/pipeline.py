@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -239,20 +239,6 @@ def _stage_rows(posts: Sequence[Post]) -> dict[str, tuple[Sequence[int], list[st
     }
 
 
-def _stage_features(
-    token_seqs: list[list[str]], config: PipelineConfig, rules: Optional[RuleLexicons]
-) -> tuple[Optional[SuffixTrie], FeatureDictionary, list[list[str]]]:
-    """Features step: the trie and dictionary built from a stage's training
-    posts (their base tokens), and those tokens stemmed."""
-    trie: Optional[SuffixTrie] = None
-    if config.stemming:
-        trie = build_suffix_trie({t for seq in token_seqs for t in seq})
-        token_seqs = [stem_tokens(trie, seq) for seq in token_seqs]
-    dict_streams = [rule_adjusted_tokens(seq, rules, config.rule_mode) for seq in token_seqs]
-    dictionary = build_dictionary(dict_streams, NGRAM_SIZES[config.ngrams], config.min_count)
-    return trie, dictionary, token_seqs
-
-
 def _fit_stage(
     name: str,
     trie: Optional[SuffixTrie],
@@ -307,6 +293,58 @@ def _fit_stage(
     )
 
 
+# PipelineConfig fields read only by the metric, the fit or the fold plan; the
+# other fields form the feature key of the configs that share a stage's features
+_FIT_FIELDS = frozenset({"metric", "classifier", "nb_smoothing", "svm_lambda", "svm_epochs", "seed"})
+
+
+def _stage_fits(
+    name: str,
+    train_posts: Sequence[Post],
+    rows: Sequence[int],
+    labels: list[str],
+    configs: Sequence[PipelineConfig],
+    scoped: Sequence[Optional[RuleLexicons]],
+    tokens: dict[bool, dict[str, list[str]]],
+    test_posts: Sequence[Post],
+) -> Iterator[tuple[StageModel, list[Optional[dict[int, float]]]]]:
+    """One stage of each config, in order: the stage fitted on the rows of
+    train_posts and their labels, and the raw metric vectors of test_posts
+    (None: zero total count).
+
+    tokens maps each stop-word setting to post text -> base tokens. Configs
+    with one feature key share the trie and dictionary built from the rows;
+    each post is counted once per key and its vector computed once per metric
+    that configs of that key use, so no counts are kept.
+    """
+    keys = [tuple(getattr(c, f.name) for f in fields(c) if f.name not in _FIT_FIELDS) for c in configs]
+    n = len(rows)
+    cache: dict[tuple, tuple] = {}
+    for key, config, rules in zip(keys, configs, scoped):
+        if key not in cache:
+            base = tokens[config.stop_words]
+            # the rows' base tokens, then the held-out posts'
+            seqs = [base[train_posts[i].text] for i in rows] + [base[p.text] for p in test_posts]
+            trie: Optional[SuffixTrie] = None
+            if config.stemming:
+                trie = build_suffix_trie({t for seq in seqs[:n] for t in seq})
+                seqs = [stem_tokens(trie, seq) for seq in seqs]
+            dictionary = build_dictionary(
+                [rule_adjusted_tokens(seq, rules, config.rule_mode) for seq in seqs[:n]],
+                NGRAM_SIZES[config.ngrams],
+                config.min_count,
+            )
+            raw: dict[str, list] = {c.metric: [] for k, c in zip(keys, configs) if k == key}
+            for seq in seqs:
+                counts = extract_counts(seq, dictionary, rules, config.rule_mode)
+                for metric, column in raw.items():
+                    column.append(_raw_metric(metric, counts, dictionary))
+            cache[key] = trie, dictionary, raw
+        trie, dictionary, raw = cache[key]
+        vectors = [_classifier_vector(v, config, train_posts[i].id) for v, i in zip(raw[config.metric], rows)]
+        yield _fit_stage(name, trie, dictionary, vectors, labels, config), raw[config.metric][n:]
+
+
 def _train_stage(
     name: str,
     posts: list[Post],
@@ -315,13 +353,10 @@ def _train_stage(
     stop_list: Optional[frozenset[str]],
     rules: Optional[RuleLexicons],
 ) -> StageModel:
-    token_seqs = [_base_tokens(p.text, config, stop_list) for p in posts]
-    trie, dictionary, token_seqs = _stage_features(token_seqs, config, rules)
-    vectors = [
-        vectorize(seq, dictionary, config, rules, post_id=p.id)
-        for seq, p in zip(token_seqs, posts)
-    ]
-    return _fit_stage(name, trie, dictionary, vectors, labels, config)
+    """One stage of train_two_stage: the one-config case of _stage_fits."""
+    tokens = _base_token_table(posts, [config], stop_list)
+    ((stage, _),) = _stage_fits(name, posts, range(len(posts)), labels, [config], [rules], tokens, ())
+    return stage
 
 
 def _checked_rules(
@@ -495,28 +530,6 @@ def aggregate_report(fold_evals: Sequence[FoldEval], k: int) -> EvaluationReport
     )
 
 
-# PipelineConfig fields read only by the metric, the fit or the fold plan; the
-# other fields form the feature key of the configs that share a fold's features
-_FIT_FIELDS = frozenset({"metric", "classifier", "nb_smoothing", "svm_lambda", "svm_epochs", "seed"})
-
-
-class _FoldStage(NamedTuple):
-    """One stage's features in one fold, shared by the configs of one feature key."""
-
-    trie: Optional[SuffixTrie]
-    dictionary: FeatureDictionary
-    counts: list[dict[int, int]]  # of the stage's training posts, in row order
-    held_out: list[dict[int, int]]  # of every held-out post
-
-
-class _FoldVectors(NamedTuple):
-    """One stage's metric vectors in one fold (None: zero total count), shared by
-    the NB and SVM configs of one feature key and metric."""
-
-    train: list[Optional[dict[int, float]]]
-    held_out: list[Optional[dict[int, float]]]
-
-
 def _evaluate_configs(
     train_posts: Sequence[Post],
     test_posts: Sequence[Post],
@@ -526,66 +539,31 @@ def _evaluate_configs(
 ) -> list[FoldEval]:
     """One fold of every config: train on the labeled train_posts, score test_posts.
 
-    tokens maps each stop-word setting to post text -> base tokens. Configs with
-    one feature key share the fold's features, and with one metric as well, its
-    metric vectors; all are dropped on return. The fit and the scoring run per
-    config. Polarity-stage accuracy is measured against gold-subjective posts
-    directly (not stage-1 survivors); end-to-end counts the final three-way label.
+    tokens maps each stop-word setting to post text -> base tokens (see
+    _stage_fits, which fits each stage of each config in turn). Polarity-stage
+    accuracy is measured against gold-subjective posts directly (not stage-1
+    survivors); end-to-end counts the final three-way label.
     """
-    rows = _stage_rows(train_posts)
-    shared: dict[tuple, dict[str, _FoldStage]] = {}
-    metric_vectors: dict[tuple, dict[str, _FoldVectors]] = {}
+    stage_fits = [
+        _stage_fits(name, train_posts, rows, labels, configs, scoped, tokens, test_posts)
+        for name, (rows, labels) in _stage_rows(train_posts).items()
+    ]
     evals = []
-    for config, rules in zip(configs, scoped):
-        key = tuple(getattr(config, f.name) for f in fields(config) if f.name not in _FIT_FIELDS)
-        if key not in shared:
-            base = tokens[config.stop_words]
-            shared[key] = {}
-            for name, (stage_rows, _) in rows.items():
-                trie, dictionary, seqs = _stage_features(
-                    [base[train_posts[i].text] for i in stage_rows], config, rules
-                )
-                tests = [base[p.text] for p in test_posts]
-                if trie is not None:
-                    tests = [stem_tokens(trie, seq) for seq in tests]
-                shared[key][name] = _FoldStage(
-                    trie,
-                    dictionary,
-                    counts=[extract_counts(seq, dictionary, rules, config.rule_mode) for seq in seqs],
-                    held_out=[extract_counts(seq, dictionary, rules, config.rule_mode) for seq in tests],
-                )
-        features = shared[key]
-        if (key, config.metric) not in metric_vectors:
-            metric_vectors[key, config.metric] = {
-                name: _FoldVectors(
-                    train=[_raw_metric(config.metric, counts, f.dictionary) for counts in f.counts],
-                    held_out=[_raw_metric(config.metric, counts, f.dictionary) for counts in f.held_out],
-                )
-                for name, f in features.items()
-            }
-        raw = metric_vectors[key, config.metric]
-        stages = {}
-        for name, f in features.items():
-            stage_rows, labels = rows[name]
-            vectors = [
-                _classifier_vector(vec, config, train_posts[i].id)
-                for vec, i in zip(raw[name].train, stage_rows)
-            ]
-            stages[name] = _fit_stage(name, f.trie, f.dictionary, vectors, labels, config)
+    for subjectivity, polarity, config in zip(*stage_fits, configs):
 
-        def label_of(name: str, i: int) -> str:
-            vec = _classifier_vector(raw[name].held_out[i], config, test_posts[i].id)
-            return _score(stages[name], vec)[0]
+        def label_of(fit: tuple[StageModel, list], i: int) -> str:
+            stage, raw = fit
+            return _score(stage, _classifier_vector(raw[i], config, test_posts[i].id))[0]
 
         pol_correct = pol_total = 0
         confusion = {g: {p: 0 for p in GOLD_LABELS} for g in GOLD_LABELS}
         for i, post in enumerate(test_posts):
-            final = label_of(STAGE_SUBJECTIVITY, i)
+            final = label_of(subjectivity, i)
             if final != LABEL_OBJECTIVE:
-                final = label_of(STAGE_POLARITY, i)
+                final = label_of(polarity, i)
             if post.label != LABEL_OBJECTIVE:
                 # stage 2 is scored on every gold-subjective post, also on one stage 1 missed
-                pol_label = final if final != LABEL_OBJECTIVE else label_of(STAGE_POLARITY, i)
+                pol_label = final if final != LABEL_OBJECTIVE else label_of(polarity, i)
                 pol_total += 1
                 pol_correct += pol_label == post.label
             confusion[post.label][final] += 1

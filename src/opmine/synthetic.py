@@ -12,7 +12,6 @@ import random
 from datetime import datetime, timezone
 
 from .corpus import GOLD_LABELS, Corpus, Post
-from .features import RuleLexicons
 
 NEGATORY_WORDS = frozenset({"nodok", "nibar"})
 EMPHASIZER_WORDS = frozenset({"vemos", "silno"})
@@ -21,10 +20,6 @@ TOPICS = ("food", "fashion", "economy", "sports", "music")
 
 _CONSONANTS = "bdgklmnprstvz"
 _VOWELS = "aeiou"
-
-
-def rule_lexicons() -> RuleLexicons:
-    return RuleLexicons(negatory=NEGATORY_WORDS, emphasizer=EMPHASIZER_WORDS)
 
 
 def _new_word(rng: random.Random, used: set[str]) -> str:
@@ -93,16 +88,3 @@ def generate_corpus(
             )
         )
     return Corpus(posts=tuple(posts))
-
-
-def shuffle_labels(corpus: Corpus, seed: int) -> Corpus:
-    """Permute the gold labels across posts (the permutation-null corpus)."""
-    rng = random.Random(seed)
-    labels = [p.label for p in corpus]
-    rng.shuffle(labels)
-    return Corpus(
-        posts=tuple(
-            Post(id=p.id, text=p.text, topic=p.topic, timestamp=p.timestamp, label=lab)
-            for p, lab in zip(corpus, labels)
-        )
-    )

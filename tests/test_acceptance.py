@@ -36,10 +36,11 @@ from opmine.pipeline import (
 )
 from opmine.preprocess import build_suffix_trie, stem, successor_variety, tokenize
 from opmine.stats import MoodRow, mood_by_topic
-from opmine.synthetic import generate_corpus, shuffle_labels
+from opmine.synthetic import generate_corpus
 
 from conftest import make_separable_2d
 from svm_oracle import svm_objective, svm_objective_gradient
+from synthetic_helpers import shuffle_labels
 from test_classify import brute_force_nb_score
 from test_features import brute_force_counts, brute_force_metric
 from test_preprocess import brute_force_variety

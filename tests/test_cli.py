@@ -500,6 +500,23 @@ class TestStats:
         assert "warning" in capsys.readouterr().err
         assert out.read_text(encoding="utf-8").splitlines() == ["key,positive,negative,mood"]
 
+    @pytest.mark.parametrize("by, attr", [("topic", "topic"), ("month", "timestamp")])
+    def test_classified_file_without_the_attribute_emits_header_only(
+        self, classified_file, tmp_path, capsys, by, attr
+    ):
+        records = [json.loads(line) for line in classified_file.read_text(encoding="utf-8").splitlines()]
+        assert all(record[attr] is not None for record in records)
+        path = write_jsonl(
+            tmp_path / "stripped.jsonl",
+            [json.dumps({k: v for k, v in record.items() if k != attr}) for record in records],
+        )
+        out = tmp_path / "mood.csv"
+        rc = main(["stats", str(path), "--by", by, "--out", str(out)])
+        assert rc == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert warnings == [f"warning: no post carries a {attr}; emitting an empty table"]
+        assert out.read_text(encoding="utf-8").splitlines() == ["key,positive,negative,mood"]
+
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:

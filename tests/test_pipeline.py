@@ -31,9 +31,10 @@ from opmine.pipeline import (
     train_two_stage,
 )
 from opmine.preprocess import tokenize
-from opmine.synthetic import generate_corpus, rule_lexicons
+from opmine.synthetic import generate_corpus
 
 from svm_oracle import train_svm_dense
+from synthetic_helpers import rule_lexicons
 
 
 def tiny_corpus():
@@ -243,6 +244,30 @@ class TestCrossValidateGrid:
         for config, report in zip(configs, reports):
             assert report == cross_validate(corpus, config, k=3, stop_list=stop, rules=rules), config
         assert reports[-1] != reports[cells.index(twin)]
+
+    def test_each_post_is_counted_once_per_key_and_vectorized_once_per_metric(self, monkeypatch):
+        corpus, stop, rules, cells = grid_case()
+        configs = [cell.config for cell in cells if cell.table == "table1"]
+        # one feature key, 4 metrics, 2 classifiers
+        assert len(configs) == 8 and len({c.metric for c in configs}) == 4
+        calls = Counter()
+        for name in ("extract_counts", "compute_metric"):
+
+            def counted(*args, _real=getattr(pipeline, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        force_workers(monkeypatch, 1)
+        k = 3
+        cross_validate_grid(corpus, configs, k=k, stop_list=stop, rules=rules)
+        labeled = corpus.labeled()
+        polar = sum(p.label != "objective" for p in labeled)
+        # per (fold, stage, post): every post is held out in one fold and both
+        # stages count it there; it trains stage 1 in the other k - 1 folds,
+        # and stage 2 as well when it is polar
+        assert calls["extract_counts"] == 2 * len(labeled) + (k - 1) * (len(labeled) + polar)
+        assert calls["compute_metric"] == 4 * calls["extract_counts"]
 
     @pytest.mark.parametrize("k", [1, 0, -2])
     def test_fewer_than_two_folds_rejected(self, separable_corpus, k):
