@@ -7,13 +7,14 @@ tool version) sufficient to reproduce it; all randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .corpus import CorpusError, load_corpus
+from .corpus import CorpusError, Post, load_corpus
 from .features import METRICS, NGRAM_SIZES, RULE_MODE_OFF, RULE_MODES, RuleLexicons
 from .ioutil import atomic_write_text
 from .pipeline import (
@@ -28,6 +29,7 @@ from .pipeline import (
     GridCell,
     ModelFormatError,
     PipelineConfig,
+    _fork_map,
     classify_post,
     cross_validate,
     cross_validate_grid,
@@ -38,6 +40,8 @@ from .pipeline import (
 )
 from .preprocess import load_word_list
 from .stats import emit_report, mood_by_month, mood_by_topic
+
+CLASSIFY_CHUNK = 2000  # posts per worker call of classify --input, which builds their lines
 
 
 def _parse_rules_spec(spec: str) -> tuple[RuleLexicons, str, dict]:
@@ -232,22 +236,29 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _classified_lines(model, records) -> str:
+    """classify's output lines for records, whose predicted label replaces a gold one in place."""
+    lines = []
+    for record in records:
+        result = classify_post(model, record["text"], post_id=record["id"])
+        record["label"] = result.label
+        record["scores"] = {"subjectivity": result.subjectivity_score, "polarity": result.polarity_score}
+        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    return "".join(lines)
+
+
 def cmd_classify(args) -> int:
     model = load_model(args.model)
     if args.text is not None:
         # a plain record: Post would reject a blank --text
-        records = [{"id": "text", "text": args.text}]
-    else:
-        # load_corpus holds every post; only the output records are made one at a time
-        records = (p.to_record() for p in load_corpus(args.input))
-    for record in records:
-        result = classify_post(model, record["text"], post_id=record["id"])
-        record["label"] = result.label  # replaces a gold label in place, keeping the key order
-        record["scores"] = {
-            "subjectivity": result.subjectivity_score,
-            "polarity": result.polarity_score,
-        }
-        sys.stdout.write(json.dumps(record, ensure_ascii=False) + "\n")
+        sys.stdout.write(_classified_lines(model, [{"id": "text", "text": args.text}]))
+        return 0
+    posts = load_corpus(args.input).posts
+    starts = range(0, len(posts), CLASSIFY_CHUNK)
+    calls = [(model, map(Post.to_record, posts[i:i + CLASSIFY_CHUNK])) for i in starts]
+    with contextlib.closing(_fork_map(_classified_lines, calls)) as lines:
+        for chunk in lines:
+            sys.stdout.write(chunk)
     return 0
 
 

@@ -14,10 +14,13 @@ import logging
 import math
 import multiprocessing
 import os
+import pickle
+import signal
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
-from itertools import repeat
+from itertools import repeat, starmap
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -625,32 +628,58 @@ def _fold_workers(k: int) -> int:
     return min(k, cpus)
 
 
-_worker_job: Optional[tuple[Callable, Sequence[tuple]]] = None  # set only in a forked worker
-
-
-def _install_job(job: Callable, calls: Sequence[tuple]) -> None:
-    global _worker_job
-    _worker_job = job, calls
-
-
-def _worker_call(i: int):
-    assert _worker_job is not None
-    job, calls = _worker_job
-    return job(*calls[i])
-
-
-def _fork_map(job: Callable, calls: Sequence[tuple]) -> list:
-    """job(*args) for each args of calls, in order; a failing call raises, the
-    lowest one first. Forked workers inherit job and calls rather than
-    unpickling them, and none outlives the call."""
-    workers = _fold_workers(len(calls))
-    if workers == 1:
-        return [job(*args) for args in calls]
-    with multiprocessing.get_context("fork").Pool(workers, _install_job, (job, calls)) as pool:
-        results = list(pool.imap(_worker_call, range(len(calls))))
-        pool.close()
-        pool.join()
-    return results
+def _fork_map(job: Callable, calls: Sequence[tuple]) -> Iterator:
+    """Yield job(*args) for each args of calls, in order; the lowest failing call
+    raises. Worker w of n forked ones runs calls w, w+n, ... and pickles each
+    result to its own pipe, read in call order, so a pipe holds about one result.
+    A dead worker raises ChildProcessError, and no worker outlives the call."""
+    n = _fold_workers(len(calls))
+    if n <= 1:
+        yield from starmap(job, calls)
+        return
+    sys.stdout.flush()
+    sys.stderr.flush()  # or a worker would write the caller's pending output again
+    workers, done = [], False  # (pid, read end of its pipe) per worker
+    try:
+        for w in range(n):
+            r, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(r)
+                    with os.fdopen(wfd, "wb") as out:
+                        for args in calls[w::n]:
+                            try:
+                                ok, value = True, job(*args)
+                            except Exception as exc:
+                                ok, value = False, exc
+                            pickle.dump((ok, value), out, pickle.HIGHEST_PROTOCOL)
+                            out.flush()
+                            if not ok:
+                                break
+                finally:
+                    try:
+                        sys.stdout.flush()
+                        sys.stderr.flush()
+                    finally:
+                        os._exit(0)
+            os.close(wfd)  # now only the worker holds it, so its death reads as EOF
+            workers.append((pid, os.fdopen(r, "rb")))
+        for i in range(len(calls)):
+            try:
+                ok, value = pickle.load(workers[i % n][1])
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"a worker process ended before returning result {i}") from None
+            if not ok:
+                raise value
+            yield value
+        done = True
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def cross_validate_grid(
@@ -684,7 +713,7 @@ def cross_validate_grid(
         folds = ", ".join(map(str, empty))
         raise CorpusError(f"{k} folds leave fold(s) {folds} without test posts (class sizes: {sizes})")
     tokens = _base_token_table(labeled, configs, stop_list)
-    folds = _fork_map(_cv_fold, [(labeled, fold_of, configs, scoped, tokens, fold) for fold in range(k)])
+    folds = list(_fork_map(_cv_fold, [(labeled, fold_of, configs, scoped, tokens, f) for f in range(k)]))
     return [aggregate_report(evals, k) for evals in zip(*folds)]
 
 

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -15,6 +16,14 @@ def synth300():
 def separable_corpus():
     """Fully disjoint class vocabularies; any sane config classifies it perfectly."""
     return synthetic.generate_corpus(n_posts=90, seed=11, shared_fraction=0.0, rule_word_prob=0.0)
+
+
+def assert_no_child_processes():
+    """This process has no child left, running or unreaped (which
+    multiprocessing.active_children() cannot see unless multiprocessing
+    started it)."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def write_jsonl(path, lines):

@@ -1,16 +1,23 @@
 import base64
+import contextlib
+import errno
 import hashlib
+import io
 import json
+import logging
+import os
+import sys
 
 import numpy as np
 import pytest
 
+from opmine import cli, pipeline
 from opmine.cli import main
 from opmine.corpus import load_corpus, save_corpus
 from opmine.pipeline import classify_post, load_model
 from opmine.synthetic import generate_corpus
 
-from conftest import write_jsonl
+from conftest import assert_no_child_processes, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +136,145 @@ class TestClassify:
         rc = main(["classify", "--model", str(tampered), "--text", "x"])
         assert rc != 0
         assert "fingerprint" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def ifrequency_model_file(tmp_path_factory, corpus_file):
+    out = tmp_path_factory.mktemp("ifrequency-model") / "model.json"
+    rc = main(
+        ["train", str(corpus_file), "--out", str(out), "--metric", "ifrequency",
+         "--classifier", "nb", "--min-count", "2", "--seed", "5"]
+    )
+    assert rc == 0
+    return out
+
+
+OOV_TEXT = "ззз жжж ййй"  # no word of it is in corpus_file, so its vector comes out empty
+
+
+@pytest.fixture(scope="module")
+def mixed_corpus_file(tmp_path_factory, corpus_file):
+    """corpus_file's gold-labeled posts, with an out-of-vocabulary post after
+    every ninth one."""
+    lines = []
+    for i, line in enumerate(corpus_file.read_text(encoding="utf-8").splitlines()):
+        lines.append(line)
+        if i % 9 == 8:
+            lines.append(json.dumps({"id": f"oov{i}", "text": OOV_TEXT, "label": "objective"}, ensure_ascii=False))
+    return write_jsonl(tmp_path_factory.mktemp("mixed") / "mixed.jsonl", lines)
+
+
+@contextlib.contextmanager
+def warnings_to_stderr():
+    """opmine's log records go to the current stderr, as they do from the CLI
+    outside pytest, whose capture handler would keep a forked worker's records
+    in the worker."""
+    handler = logging.StreamHandler(sys.stderr)
+    logging.getLogger("opmine").addHandler(handler)
+    try:
+        yield
+    finally:
+        logging.getLogger("opmine").removeHandler(handler)
+
+
+def force_chunks(monkeypatch, workers, chunk):
+    monkeypatch.setattr(pipeline, "_fold_workers", lambda k: workers)
+    monkeypatch.setattr(cli, "CLASSIFY_CHUNK", chunk)
+
+
+def error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+class TestPooledClassify:
+    """classify --input labels chunks of posts in forked workers. Neither the
+    worker count nor the chunk size may show in its output. stderr is read with
+    capfd, as the workers' warnings reach the caller's file descriptor only."""
+
+    def test_output_does_not_depend_on_workers_or_chunks(
+        self, ifrequency_model_file, mixed_corpus_file, monkeypatch, capfd
+    ):
+        argv = ["classify", "--model", str(ifrequency_model_file), "--input", str(mixed_corpus_file)]
+        runs = []
+        for workers, chunk in ((1, 2000), (2, 2000), (1, 7), (2, 7)):
+            force_chunks(monkeypatch, workers, chunk)
+            with warnings_to_stderr():
+                assert main(argv) == 0
+            runs.append(capfd.readouterr())
+        assert [out for out, _ in runs] == [runs[0].out] * 4
+        inputs = [json.loads(line) for line in mixed_corpus_file.read_text(encoding="utf-8").splitlines()]
+        written = [json.loads(line) for line in runs[0].out.splitlines()]
+        assert [r["id"] for r in written] == [r["id"] for r in inputs]
+        model = load_model(ifrequency_model_file)
+        for record, gold in zip(written, inputs):
+            # the predicted label replaces the gold one in place
+            assert list(record) == [*gold, "scores"]
+            result = classify_post(model, record["text"])
+            assert record["label"] == result.label
+            assert record["scores"] == {"subjectivity": result.subjectivity_score,
+                                        "polarity": result.polarity_score}
+        assert {r["label"] for r in written} == {"objective", "positive", "negative"}
+        assert {r["label"] for r in inputs} == {"objective", "positive", "negative"}
+        assert any(r["label"] != gold["label"] for r, gold in zip(written, inputs))
+        # every empty vector is reported, whichever worker met it
+        oov = [r["id"] for r in inputs if r["text"] == OOV_TEXT]
+        assert len(oov) == 10
+        for _, err in runs:
+            assert all(f"post {post_id}: zero total" in err for post_id in oov)
+
+    def test_text_line_matches_the_input_line_of_the_same_post(
+        self, ifrequency_model_file, mixed_corpus_file, monkeypatch, capfd
+    ):
+        force_chunks(monkeypatch, 2, 7)
+        model = str(ifrequency_model_file)
+        assert main(["classify", "--model", model, "--input", str(mixed_corpus_file)]) == 0
+        for line in capfd.readouterr().out.splitlines():
+            bulk = json.loads(line)
+            assert main(["classify", "--model", model, "--text", bulk["text"]]) == 0
+            single = json.loads(capfd.readouterr().out)
+            assert (single["label"], single["scores"]) == (bulk["label"], bulk["scores"])
+
+    def test_a_worker_that_dies_ends_in_one_error_line(
+        self, ifrequency_model_file, mixed_corpus_file, monkeypatch, capfd
+    ):
+        force_chunks(monkeypatch, 2, 7)
+        # the first post of the second chunk, which the second worker labels
+        victim = json.loads(mixed_corpus_file.read_text(encoding="utf-8").splitlines()[7])["id"]
+        real, caller = cli.classify_post, os.getpid()
+
+        def dies_on_victim(model, text, post_id="?"):
+            if post_id == victim:
+                if os.getpid() == caller:
+                    raise AssertionError("the victim was labeled in the caller, not in a worker")
+                os._exit(4)
+            return real(model, text, post_id)
+
+        monkeypatch.setattr(cli, "classify_post", dies_on_victim)
+        rc = main(["classify", "--model", str(ifrequency_model_file), "--input", str(mixed_corpus_file)])
+        out, err = capfd.readouterr()
+        assert rc == 1
+        assert len(error_lines(err)) == 1 and "worker" in error_lines(err)[0]
+        assert len(out.splitlines()) == 7  # the first chunk, written before the second failed
+        assert_no_child_processes()
+
+    def test_a_broken_stdout_ends_in_one_error_line(
+        self, ifrequency_model_file, mixed_corpus_file, monkeypatch, capfd
+    ):
+        class BrokenAfterFirstWrite(io.StringIO):
+            def write(self, text):
+                if self.getvalue():
+                    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+                return super().write(text)
+
+        force_chunks(monkeypatch, 2, 7)
+        stdout = BrokenAfterFirstWrite()
+        with contextlib.redirect_stdout(stdout):
+            rc = main(["classify", "--model", str(ifrequency_model_file), "--input", str(mixed_corpus_file)])
+        _, err = capfd.readouterr()
+        assert rc == 1
+        assert error_lines(err) == ["error: [Errno 32] Broken pipe"]
+        assert len(stdout.getvalue().splitlines()) == 7
+        assert_no_child_processes()
 
 
 DELETE = object()

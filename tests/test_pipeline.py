@@ -1,7 +1,11 @@
 import base64
+import contextlib
 import json
 import math
 import multiprocessing
+import os
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -33,6 +37,7 @@ from opmine.pipeline import (
 from opmine.preprocess import tokenize
 from opmine.synthetic import generate_corpus
 
+from conftest import assert_no_child_processes
 from svm_oracle import train_svm_dense
 from synthetic_helpers import rule_lexicons
 
@@ -285,7 +290,7 @@ class TestCrossValidateGrid:
         force_workers(monkeypatch, workers)
         with pytest.raises(ValueError, match="stage 'subjectivity'.*non-finite.*svm_lambda=1e-320"):
             train_two_stage(separable_corpus, cfg)
-        assert multiprocessing.active_children() == []
+        assert_no_child_processes()
 
     def test_empty_config_list_rejected(self, separable_corpus):
         with pytest.raises(ValueError, match="no configs to cross-validate"):
@@ -323,7 +328,7 @@ class TestPooledFolds:
             runs.append(cross_validate_grid(corpus, configs, k=3, stop_list=stop, rules=rules))
         assert len(runs[0]) == 44
         assert runs[0] == runs[1]
-        assert multiprocessing.active_children() == []
+        assert_no_child_processes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_class_missing_from_one_fold_names_that_fold(self, monkeypatch, workers):
@@ -339,7 +344,7 @@ class TestPooledFolds:
         force_workers(monkeypatch, workers)
         with pytest.raises(ValueError, match=rf"^fold {fold}: no training posts labeled 'positive'$"):
             cross_validate(corpus, replace(NB_CFG, seed=seed), k=4, stratified=False)
-        assert multiprocessing.active_children() == []
+        assert_no_child_processes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_lowest_failing_fold_is_reported(self, monkeypatch, workers):
@@ -355,7 +360,7 @@ class TestPooledFolds:
         force_workers(monkeypatch, workers)
         with pytest.raises(ValueError, match=rf"^fold {low}: no training posts labeled '{label}'$"):
             cross_validate(corpus, replace(NB_CFG, seed=seed), k=4, stratified=False)
-        assert multiprocessing.active_children() == []
+        assert_no_child_processes()
 
     def test_workers_follow_usable_cpus_and_folds(self, monkeypatch):
         monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -420,7 +425,7 @@ class TestPooledTrain:
             models.append(train_two_stage(corpus, cfg, stop_list=stop, rules=rules))
         assert models[0].polarity.stem_trie is not None and models[0].stop_list == stop
         assert model_to_json(models[0]) == model_to_json(models[1])
-        assert multiprocessing.active_children() == []
+        assert_no_child_processes()
 
     def test_daemonic_caller_trains_in_process(self, monkeypatch):
         # two usable CPUs, so only the daemon check keeps the child from
@@ -444,6 +449,71 @@ class TestPooledTrain:
         expected = model_to_json(train_two_stage(corpus, cfg, stop_list=stop, rules=rules))
         assert outcome == ("ok", 1, expected)
         assert proc.exitcode == 0
+
+
+def square_or_die(i, caller=os.getpid()):
+    if i == 1:
+        if os.getpid() == caller:
+            raise AssertionError("call 1 ran in the caller, not in a worker")
+        os._exit(3)
+    return i * i
+
+
+def sleep_after_first(i):
+    if i > 0:
+        time.sleep(60)
+    return i
+
+
+class TestForkMap:
+    """_fork_map forks its own workers: results and the lowest failing call come
+    back in call order, and no worker or thread outlives the call."""
+
+    def test_a_worker_that_exits_raises_instead_of_hanging(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match="result 1"):
+            list(pipeline._fork_map(square_or_die, [(i,) for i in range(4)]))
+        assert_no_child_processes()
+
+    def test_the_lowest_failing_call_raises_even_when_a_later_one_fails_first(self, monkeypatch, tmp_path):
+        # with 2 workers, call 3 runs in worker 1 and call 4 in worker 0
+        failed = tmp_path / "call-4-failed"
+
+        def job(i):
+            if i == 3:
+                deadline = time.monotonic() + 30
+                while not failed.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise ValueError(f"call 3 (after call 4: {failed.exists()})")
+            if i == 4:
+                failed.touch()
+                raise KeyError("call 4")
+            return i
+
+        force_workers(monkeypatch, 2)
+        with pytest.raises(ValueError, match=r"^call 3 \(after call 4: True\)$"):
+            list(pipeline._fork_map(job, [(i,) for i in range(6)]))
+        assert_no_child_processes()
+
+    def test_breaking_out_after_the_first_result_leaves_no_child(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        start = time.monotonic()
+        with contextlib.closing(pipeline._fork_map(sleep_after_first, [(i,) for i in range(4)])) as results:
+            for result in results:
+                assert result == 0
+                break
+        assert_no_child_processes()
+        assert time.monotonic() - start < 30  # the sleeping workers were killed
+
+    def test_results_in_call_order_and_no_thread_started(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        before = threading.active_count()
+        seen = []
+        for result in pipeline._fork_map(pow, [(i, 2) for i in range(7)]):
+            seen.append((result, threading.active_count()))
+        assert seen == [(i * i, before) for i in range(7)]
+        assert threading.active_count() == before
+        assert_no_child_processes()
 
 
 class TestNoLeakage:
