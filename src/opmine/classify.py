@@ -8,6 +8,10 @@ The SVM never stores w itself: w_t = u_t/(lambda*t), where u_t sums y*x over
 the margin-violating steps, and the average of w_1..w_T follows from u and one
 harmonic-weighted sum z (see ``train_svm``). Each step therefore costs O(nnz)
 of its post, not O(m) of the dictionary.
+
+Both fit kernels keep their loop operands Python floats (labels, step counter,
+list accumulators): CPython 3.11+ specializes float-float arithmetic, not mixed
+int/float or numpy scalars, and the ints replaced convert to doubles exactly.
 """
 
 from __future__ import annotations
@@ -77,31 +81,27 @@ def train_nb(
         classes = (distinct[1], distinct[0])  # larger tag plays the positive role
     if vocab_size is None:
         vocab_size = 1 + max((i for v in vectors for i in v), default=-1)
-    for cls in classes:
-        if cls not in labels:
+    class_counts = {cls: labels.count(cls) for cls in classes}
+    for cls, n_cls in class_counts.items():
+        if not n_cls:
             raise ValueError(f"class {cls!r} has no training examples")
-    for vec in vectors:
+    # one float list per class, each added to in post order; a post of no class only gets checked
+    class_sums = {cls: [0.0] * vocab_size for cls in classes}
+    for vec, lab in zip(vectors, labels):
+        sums = class_sums.get(lab)
         for idx, val in vec.items():
-            if val < 0:
-                raise ValueError(f"negative feature value {val} at index {idx}")
+            if not 0 <= val < math.inf:
+                kind = "negative" if math.isfinite(val) else "non-finite"
+                raise ValueError(f"{kind} feature value {val} at index {idx}")
             if not 0 <= idx < vocab_size:
                 raise ValueError(f"index {idx} out of range for vocab_size {vocab_size}")
-
-    n_total = len(labels)
-    class_log_prior: dict[str, float] = {}
-    feature_log_likelihood: dict[str, np.ndarray] = {}
-    class_counts: dict[str, int] = {}
-    for cls in classes:
-        sums = np.zeros(vocab_size, dtype=np.float64)
-        n_cls = 0
-        for vec, lab in zip(vectors, labels):
-            if lab != cls:
-                continue
-            n_cls += 1
-            for idx, val in vec.items():
+            if sums is not None:
                 sums[idx] += val
-        class_counts[cls] = n_cls
-        class_log_prior[cls] = math.log(n_cls / n_total)
+
+    class_log_prior = {cls: math.log(n_cls / len(labels)) for cls, n_cls in class_counts.items()}
+    feature_log_likelihood: dict[str, np.ndarray] = {}
+    for cls in classes:
+        sums = np.array(class_sums[cls])
         denom = sums.sum() + smoothing * vocab_size
         feature_log_likelihood[cls] = np.log((sums + smoothing) / denom)
     return NBModel(
@@ -171,9 +171,9 @@ def train_svm(
         raise ValueError(f"lambda must be positive, got {lambda_}")
     if epochs <= 0:
         raise ValueError(f"epochs must be positive, got {epochs}")
-    labs = [int(y) for y in labels]
-    if set(labs) != {-1, 1}:
-        raise ValueError(f"labels must contain both +1 and -1, got {sorted(set(labs))}")
+    if not all(y == 1 or y == -1 for y in labels) or 1 not in labels or -1 not in labels:
+        raise ValueError(f"labels must be +1 or -1 and both occur: {sorted(set(labels), key=str)}")
+    labs = [float(y) for y in labels]
     if vocab_size is None:
         vocab_size = 1 + max((i for v in vectors for i in v), default=-1)
     for values in vectors:
@@ -190,16 +190,16 @@ def train_svm(
     h = 0.0  # H_{t-1} during step t
     b = 0.0
     b_sum = 0.0
-    t = 0
+    t = 0.0  # float like the labels: int*float is not specialized, and t stays far below 2**53
     for _ in range(epochs):
         for j in rng.permutation(n).tolist():
-            t += 1
+            t += 1.0
             values = vectors[j]
             y = labs[j]
             dot = 0.0
             for idx, val in values.items():
                 dot += u[idx] * val
-            margin = dot / (lambda_ * (t - 1)) + b if t > 1 else b
+            margin = dot / (lambda_ * (t - 1.0)) + b if t > 1.0 else b
             if y * margin < 1.0:
                 for idx, val in values.items():
                     u[idx] += y * val
@@ -211,7 +211,7 @@ def train_svm(
     for values, c_j, y in zip(vectors, c, labs):
         for idx, val in values.items():
             z[idx] += c_j * y * val
-    n_pos = sum(1 for y in labs if y == 1)
+    n_pos = labs.count(1.0)
     return SVMModel(
         weights=(h * np.array(u) - np.array(z)) / (lambda_ * t),
         bias=b_sum / t,

@@ -1,9 +1,14 @@
-"""Test-only SVM references: the dense averaged-SGD loop and the primal objective.
+"""Test-only SVM references: the dense averaged-SGD loop, the int-typed lazy loop
+and the primal objective.
 
 ``train_svm_dense`` is the straightforward O(steps * m) form of the trainer:
 every step rescales and accumulates the whole weight vector.
 ``opmine.classify.train_svm`` follows the same trajectory while touching only
 each post's non-zero features, so the two must agree up to rounding.
+
+``train_svm_lazy_int`` is that lazy loop with int labels and an int step
+counter. ``train_svm`` keeps both as floats, which changes no operand's value,
+so the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -109,6 +114,55 @@ def train_svm_dense(
     n_pos = sum(1 for y in labs if y == 1)
     return SVMModel(
         weights=w_sum / t,
+        bias=b_sum / t,
+        n_pos=n_pos,
+        n_neg=n - n_pos,
+    )
+
+
+def train_svm_lazy_int(
+    vectors: Sequence[dict[int, float]],
+    labels: Sequence[int],
+    lambda_: float,
+    epochs: int,
+    seed: int,
+    vocab_size: int | None = None,
+) -> SVMModel:
+    """The lazy averaged-SGD loop of ``train_svm`` with int labels and step counter."""
+    labs = [int(y) for y in labels]
+    if vocab_size is None:
+        vocab_size = 1 + max((i for v in vectors for i in v), default=-1)
+    rng = np.random.default_rng(seed)
+    n = len(vectors)
+    u = [0.0] * vocab_size
+    c = [0.0] * n
+    h = 0.0
+    b = 0.0
+    b_sum = 0.0
+    t = 0
+    for _ in range(epochs):
+        for j in rng.permutation(n).tolist():
+            t += 1
+            values = vectors[j]
+            y = labs[j]
+            dot = 0.0
+            for idx, val in values.items():
+                dot += u[idx] * val
+            margin = dot / (lambda_ * (t - 1)) + b if t > 1 else b
+            if y * margin < 1.0:
+                for idx, val in values.items():
+                    u[idx] += y * val
+                c[j] += h
+                b += y / (lambda_ * t)
+            b_sum += b
+            h += 1.0 / t
+    z = [0.0] * vocab_size
+    for values, c_j, y in zip(vectors, c, labs):
+        for idx, val in values.items():
+            z[idx] += c_j * y * val
+    n_pos = sum(1 for y in labs if y == 1)
+    return SVMModel(
+        weights=(h * np.array(u) - np.array(z)) / (lambda_ * t),
         bias=b_sum / t,
         n_pos=n_pos,
         n_neg=n - n_pos,

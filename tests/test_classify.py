@@ -14,7 +14,12 @@ from opmine.classify import (
 )
 
 from conftest import make_separable_2d
-from svm_oracle import svm_objective, svm_objective_gradient, train_svm_dense
+from svm_oracle import (
+    svm_objective,
+    svm_objective_gradient,
+    train_svm_dense,
+    train_svm_lazy_int,
+)
 
 
 class TestDecide:
@@ -56,6 +61,42 @@ def brute_force_nb_score(train_vecs, train_labels, classes, alpha, m, x):
     for i, val in x.items():
         score += val * (math.log(t_pos[i]) - math.log(t_neg[i]))
     return score
+
+
+def nb_log_likelihood_numpy(vectors, labels, classes, smoothing, vocab_size):
+    """Each class's smoothed log-likelihoods, summed into a numpy array in post order."""
+    out = {}
+    for cls in classes:
+        sums = np.zeros(vocab_size, dtype=np.float64)
+        for vec, lab in zip(vectors, labels):
+            if lab == cls:
+                for idx, val in vec.items():
+                    sums[idx] += val
+        denom = sums.sum() + smoothing * vocab_size
+        out[cls] = np.log((sums + smoothing) / denom)
+    return out
+
+
+@st.composite
+def nb_problems(draw):
+    m = draw(st.integers(min_value=1, max_value=5))
+    value = st.one_of(
+        st.integers(min_value=0, max_value=5),
+        st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False),
+    )
+    vector = st.dictionaries(st.integers(0, m - 1), value, max_size=m)
+    vectors = draw(st.lists(vector, min_size=2, max_size=12))
+    labels = draw(
+        st.lists(st.sampled_from(["a", "b"]), min_size=len(vectors), max_size=len(vectors)).filter(
+            lambda ys: set(ys) == {"a", "b"}
+        )
+    )
+    return {
+        "vectors": vectors,
+        "labels": labels,
+        "smoothing": draw(st.floats(min_value=0.01, max_value=10)),
+        "vocab_size": m + draw(st.integers(min_value=0, max_value=2)),
+    }
 
 
 class TestNaiveBayes:
@@ -134,9 +175,22 @@ class TestNaiveBayes:
         with pytest.raises(ValueError, match="negative"):
             predict_nb(model, {0: -0.5})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite feature value"):
+            train_nb([{0: bad}, {1: 1.0}], ["a", "b"], vocab_size=2)
+
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError, match="'b'"):
             train_nb([{0: 1}], ["a"], vocab_size=1, classes=("a", "b"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(nb_problems())
+    def test_log_likelihoods_equal_the_numpy_accumulator(self, problem):
+        model = train_nb(**problem)
+        want = nb_log_likelihood_numpy(classes=model.classes, **problem)
+        for cls in model.classes:
+            assert np.array_equal(model.feature_log_likelihood[cls], want[cls])
 
     def test_fractional_values_accepted(self):
         model = train_nb(
@@ -233,6 +287,18 @@ class TestSVMTraining:
     def test_label_validation(self):
         with pytest.raises(ValueError, match="labels"):
             train_svm([{0: 1}, {0: 2}], [1, 0], lambda_=0.1, epochs=1, seed=0)
+
+    @pytest.mark.parametrize("labels", [[1.5, -1], ["1", -1], [1, -1.5], [1, 1]])
+    def test_labels_must_be_plus_or_minus_one_and_both_occur(self, labels):
+        with pytest.raises(ValueError, match="labels"):
+            train_svm([{0: 1.0}, {0: 2.0}], labels, lambda_=0.1, epochs=1, seed=0)
+
+    def test_float_and_int_labels_give_the_same_model(self):
+        vectors, labels, _ = make_separable_2d(n=12)
+        a = train_svm(vectors, labels, lambda_=0.1, epochs=3, seed=5)
+        b = train_svm(vectors, [float(y) for y in labels], lambda_=0.1, epochs=3, seed=5)
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert (a.bias, a.n_pos, a.n_neg) == (b.bias, b.n_pos, b.n_neg)
 
     def test_nonfinite_feature_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -339,6 +405,14 @@ class TestSVMMatchesDenseOracle:
         # rounding can flip a margin violation only at an exact tie
         assume(all(abs(margin - 1.0) >= 1e-9 for margin in margins))
         assert_matches_dense(train_svm(**problem), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(svm_problems())
+    def test_same_bits_as_the_int_typed_loop(self, problem):
+        got, want = train_svm(**problem), train_svm_lazy_int(**problem)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias == want.bias
+        assert (got.n_pos, got.n_neg) == (want.n_pos, want.n_neg)
 
     def test_first_step_scores_the_bias_alone(self):
         # step 1 sees w = b = 0, so it always violates; with disjoint supports the
