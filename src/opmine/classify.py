@@ -81,22 +81,24 @@ def train_nb(
         classes = (distinct[1], distinct[0])  # larger tag plays the positive role
     if vocab_size is None:
         vocab_size = 1 + max((i for v in vectors for i in v), default=-1)
+    strays = sorted(set(labels) - set(classes), key=str)
+    if strays:
+        raise ValueError(f"label {strays[0]!r} is not one of the classes {classes}")
     class_counts = {cls: labels.count(cls) for cls in classes}
     for cls, n_cls in class_counts.items():
         if not n_cls:
             raise ValueError(f"class {cls!r} has no training examples")
-    # one float list per class, each added to in post order; a post of no class only gets checked
+    # one float list per class, each added to in post order
     class_sums = {cls: [0.0] * vocab_size for cls in classes}
     for vec, lab in zip(vectors, labels):
-        sums = class_sums.get(lab)
+        sums = class_sums[lab]
         for idx, val in vec.items():
             if not 0 <= val < math.inf:
                 kind = "negative" if math.isfinite(val) else "non-finite"
                 raise ValueError(f"{kind} feature value {val} at index {idx}")
             if not 0 <= idx < vocab_size:
                 raise ValueError(f"index {idx} out of range for vocab_size {vocab_size}")
-            if sums is not None:
-                sums[idx] += val
+            sums[idx] += val
 
     class_log_prior = {cls: math.log(n_cls / len(labels)) for cls, n_cls in class_counts.items()}
     feature_log_likelihood: dict[str, np.ndarray] = {}
@@ -141,6 +143,60 @@ class SVMModel:
         return int(self.weights.shape[0])
 
 
+def _svm_inputs(
+    vectors: Sequence[dict[int, float]],
+    labels: Sequence[int],
+    lambda_: float,
+    epochs: int,
+    vocab_size: int | None,
+) -> tuple[list[float], int]:
+    """Check one SVM fit's inputs; return its labels as +-1.0 and its vocab size."""
+    if len(vectors) != len(labels):
+        raise ValueError("vectors and labels must have equal length")
+    if not vectors:
+        raise ValueError("cannot train on zero examples")
+    if lambda_ <= 0:
+        raise ValueError(f"lambda must be positive, got {lambda_}")
+    if epochs <= 0:
+        raise ValueError(f"epochs must be positive, got {epochs}")
+    if not all(y == 1 or y == -1 for y in labels) or 1 not in labels or -1 not in labels:
+        raise ValueError(f"labels must be +1 or -1 and both occur: {sorted(set(labels), key=str)}")
+    if vocab_size is None:
+        vocab_size = 1 + max((i for v in vectors for i in v), default=-1)
+    for values in vectors:
+        for idx, val in values.items():
+            if not math.isfinite(val):
+                raise ValueError("non-finite feature value in training data")
+            if not 0 <= idx < vocab_size:
+                raise ValueError(f"feature index out of range for vocab_size {vocab_size}")
+    return [float(y) for y in labels], vocab_size
+
+
+def _svm_model(
+    vectors: Sequence[dict[int, float]],
+    labs: list[float],
+    u: list[float],
+    c: list[float],
+    h: float,
+    b_sum: float,
+    lambda_: float,
+    t: float,
+) -> SVMModel:
+    """The averaged model after T = t steps: weights (H_T*u - z)/(lambda*T), with
+    z expanded from the per-post coefficients c, and bias b_sum/T."""
+    z = [0.0] * len(u)
+    for values, c_j, y in zip(vectors, c, labs):
+        for idx, val in values.items():
+            z[idx] += c_j * y * val
+    n_pos = labs.count(1.0)
+    return SVMModel(
+        weights=(h * np.array(u) - np.array(z)) / (lambda_ * t),
+        bias=b_sum / t,
+        n_pos=n_pos,
+        n_neg=len(labs) - n_pos,
+    )
+
+
 def train_svm(
     vectors: Sequence[dict[int, float]],
     labels: Sequence[int],
@@ -163,26 +219,7 @@ def train_svm(
     violating steps) and expanded once at the end. So a step reads and writes
     only its post's non-zero features: O(nnz), not O(m).
     """
-    if len(vectors) != len(labels):
-        raise ValueError("vectors and labels must have equal length")
-    if not vectors:
-        raise ValueError("cannot train on zero examples")
-    if lambda_ <= 0:
-        raise ValueError(f"lambda must be positive, got {lambda_}")
-    if epochs <= 0:
-        raise ValueError(f"epochs must be positive, got {epochs}")
-    if not all(y == 1 or y == -1 for y in labels) or 1 not in labels or -1 not in labels:
-        raise ValueError(f"labels must be +1 or -1 and both occur: {sorted(set(labels), key=str)}")
-    labs = [float(y) for y in labels]
-    if vocab_size is None:
-        vocab_size = 1 + max((i for v in vectors for i in v), default=-1)
-    for values in vectors:
-        for idx, val in values.items():
-            if not math.isfinite(val):
-                raise ValueError("non-finite feature value in training data")
-            if not 0 <= idx < vocab_size:
-                raise ValueError(f"feature index out of range for vocab_size {vocab_size}")
-
+    labs, vocab_size = _svm_inputs(vectors, labels, lambda_, epochs, vocab_size)
     rng = np.random.default_rng(seed)
     n = len(vectors)
     u = [0.0] * vocab_size
@@ -207,16 +244,79 @@ def train_svm(
                 b += y / (lambda_ * t)
             b_sum += b
             h += 1.0 / t
-    z = [0.0] * vocab_size
-    for values, c_j, y in zip(vectors, c, labs):
-        for idx, val in values.items():
-            z[idx] += c_j * y * val
-    n_pos = labs.count(1.0)
-    return SVMModel(
-        weights=(h * np.array(u) - np.array(z)) / (lambda_ * t),
-        bias=b_sum / t,
-        n_pos=n_pos,
-        n_neg=n - n_pos,
+    return _svm_model(vectors, labs, u, c, h, b_sum, lambda_, t)
+
+
+def same_indices(vectors_a: Sequence[dict[int, float]], vectors_b: Sequence[dict[int, float]]) -> bool:
+    """Whether each post has the same indices in the same order in both vector sets."""
+    if len(vectors_a) != len(vectors_b):
+        return False
+    return all(list(a) == list(b) for a, b in zip(vectors_a, vectors_b))
+
+
+def train_svm_pair(
+    vectors_a: Sequence[dict[int, float]],
+    vectors_b: Sequence[dict[int, float]],
+    labels: Sequence[int],
+    lambda_: float,
+    epochs: int,
+    seed: int,
+    vocab_size: int | None = None,
+) -> tuple[SVMModel, SVMModel]:
+    """``train_svm`` on vectors_a and on vectors_b in one pass: the same two models,
+    bit for bit.
+
+    Both fits walk the same example order, step counter and harmonic sum, so one
+    loop carries two sets of (u, c, b, b_sum), each updated by the arithmetic of
+    ``train_svm``. Post j must have the same indices in the same order in both
+    sets, so that one (idx, a_val, b_val) row per non-zero serves both dots.
+    """
+    labs, vocab_size = _svm_inputs(vectors_a, labels, lambda_, epochs, vocab_size)
+    _svm_inputs(vectors_b, labels, lambda_, epochs, vocab_size)
+    if not same_indices(vectors_a, vectors_b):
+        raise ValueError("paired vectors must have the same indices in the same order")
+    rows = [tuple(zip(a, a.values(), b.values())) for a, b in zip(vectors_a, vectors_b)]
+    rng = np.random.default_rng(seed)
+    n = len(rows)
+    ua = [0.0] * vocab_size
+    ub = [0.0] * vocab_size
+    ca = [0.0] * n
+    cb = [0.0] * n
+    h = 0.0
+    ba = bb = 0.0
+    ba_sum = bb_sum = 0.0
+    t = 0.0
+    for _ in range(epochs):
+        for j in rng.permutation(n).tolist():
+            t += 1.0
+            row = rows[j]
+            y = labs[j]
+            dot_a = dot_b = 0.0
+            for idx, val_a, val_b in row:
+                dot_a += ua[idx] * val_a
+                dot_b += ub[idx] * val_b
+            if t > 1.0:
+                scale = lambda_ * (t - 1.0)
+                margin_a = dot_a / scale + ba
+                margin_b = dot_b / scale + bb
+            else:
+                margin_a, margin_b = ba, bb
+            if y * margin_a < 1.0:
+                for idx, val_a, _ in row:
+                    ua[idx] += y * val_a
+                ca[j] += h
+                ba += y / (lambda_ * t)
+            if y * margin_b < 1.0:
+                for idx, _, val_b in row:
+                    ub[idx] += y * val_b
+                cb[j] += h
+                bb += y / (lambda_ * t)
+            ba_sum += ba
+            bb_sum += bb
+            h += 1.0 / t
+    return (
+        _svm_model(vectors_a, labs, ua, ca, h, ba_sum, lambda_, t),
+        _svm_model(vectors_b, labs, ub, cb, h, bb_sum, lambda_, t),
     )
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .classify import decide, train_nb, train_svm
+from .classify import SVMModel, decide, same_indices, train_nb, train_svm, train_svm_pair
 from .corpus import (
     GOLD_LABELS,
     LABEL_NEGATIVE,
@@ -249,9 +249,11 @@ def _fit_stage(
     vectors: list[dict[int, float]],
     labels: list[str],
     config: PipelineConfig,
+    svm: Optional[SVMModel] = None,
 ) -> StageModel:
     """Fit step: NB or SVM on the metric vectors, reduced to one linear scorer.
 
+    svm, when given, is the config's SVM fitted already (one of a pair).
     A fit that overflowed to non-finite weights or bias raises ValueError.
     """
     classes = STAGE_CLASSES[name]
@@ -270,15 +272,8 @@ def _fit_stage(
             bias = nb.class_log_prior[pos] - nb.class_log_prior[neg]
             counts = (nb.class_counts[pos], nb.class_counts[neg])
         else:
-            signs = [1 if lab == classes[0] else -1 for lab in labels]
-            svm = train_svm(
-                vectors,
-                signs,
-                lambda_=config.svm_lambda,
-                epochs=config.svm_epochs,
-                seed=config.seed,
-                vocab_size=len(dictionary),
-            )
+            if svm is None:
+                svm = train_svm(vectors, *_svm_args(name, labels, config, dictionary))
             weights, bias, counts = svm.weights, svm.bias, (svm.n_pos, svm.n_neg)
     if not (np.isfinite(weights).all() and math.isfinite(bias)):
         knob = "nb_smoothing" if config.classifier == CLASSIFIER_NB else "svm_lambda"
@@ -294,6 +289,24 @@ def _fit_stage(
         class_counts=counts,
         stem_trie=trie,
     )
+
+
+def _svm_args(name: str, labels: list[str], config: PipelineConfig, dictionary: FeatureDictionary) -> tuple:
+    """The arguments after the vectors of a stage's train_svm (or train_svm_pair)
+    call: labels as +1/-1, lambda_, epochs, seed and vocab_size."""
+    signs = [1 if lab == STAGE_CLASSES[name][0] else -1 for lab in labels]
+    return signs, config.svm_lambda, config.svm_epochs, config.seed, len(dictionary)
+
+
+def _svm_pairs(keys: Sequence[tuple], configs: Sequence[PipelineConfig]) -> dict[int, int]:
+    """Config positions i -> j (i < j) of the SVM configs that may share one fit
+    pass: those of one feature key and one (svm_lambda, svm_epochs, seed), paired
+    in config order; an odd one out has no partner."""
+    groups: dict[tuple, list[int]] = {}
+    for pos, (key, c) in enumerate(zip(keys, configs)):
+        if c.classifier == CLASSIFIER_SVM:
+            groups.setdefault((key, c.svm_lambda, c.svm_epochs, c.seed), []).append(pos)
+    return {i: j for group in groups.values() for i, j in zip(group[::2], group[1::2])}
 
 
 # PipelineConfig fields read only by the metric, the fit or the fold plan; the
@@ -318,12 +331,18 @@ def _stage_fits(
     tokens maps each stop-word setting to post text -> base tokens. Configs
     with one feature key share the trie and dictionary built from the rows;
     each post is counted once per key and its vector computed once per metric
-    that configs of that key use, so no counts are kept.
+    that configs of that key use, so no counts are kept. Two SVM configs of
+    _svm_pairs whose training vectors have the same indices in the same order
+    are fitted in one train_svm_pair pass at the first one's turn; the second's
+    SVM and vectors are held until its own turn, so each stage is still checked
+    and yielded in config order.
     """
     keys = [tuple(getattr(c, f.name) for f in fields(c) if f.name not in _FIT_FIELDS) for c in configs]
+    partners = _svm_pairs(keys, configs)
+    held: dict[int, tuple[Optional[SVMModel], list[dict[int, float]]]] = {}
     n = len(rows)
     cache: dict[tuple, tuple] = {}
-    for key, config, rules in zip(keys, configs, scoped):
+    for pos, (key, config, rules) in enumerate(zip(keys, configs, scoped)):
         if key not in cache:
             base = tokens[config.stop_words]
             # the rows' base tokens, then the held-out posts'
@@ -344,8 +363,24 @@ def _stage_fits(
                     column.append(_raw_metric(metric, counts, dictionary))
             cache[key] = trie, dictionary, raw
         trie, dictionary, raw = cache[key]
-        vectors = [_classifier_vector(v, config, train_posts[i].id) for v, i in zip(raw[config.metric], rows)]
-        yield _fit_stage(name, trie, dictionary, vectors, labels, config), raw[config.metric][n:]
+
+        def train_vectors(c: PipelineConfig) -> list[dict[int, float]]:
+            return [_classifier_vector(v, c, train_posts[i].id) for v, i in zip(raw[c.metric], rows)]
+
+        svm: Optional[SVMModel] = None
+        if pos in held:
+            svm, vectors = held.pop(pos)
+        else:
+            vectors = train_vectors(config)
+            if pos in partners:
+                other = train_vectors(configs[partners[pos]])
+                other_svm = None
+                if same_indices(vectors, other):
+                    args = _svm_args(name, labels, config, dictionary)
+                    with np.errstate(all="ignore"):  # _fit_stage checks each model at its own turn
+                        svm, other_svm = train_svm_pair(vectors, other, *args)
+                held[partners[pos]] = other_svm, other
+        yield _fit_stage(name, trie, dictionary, vectors, labels, config, svm), raw[config.metric][n:]
 
 
 def _train_stage(

@@ -11,6 +11,7 @@ from opmine.classify import (
     predict_svm,
     train_nb,
     train_svm,
+    train_svm_pair,
 )
 
 from conftest import make_separable_2d
@@ -183,6 +184,10 @@ class TestNaiveBayes:
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError, match="'b'"):
             train_nb([{0: 1}], ["a"], vocab_size=1, classes=("a", "b"))
+
+    def test_label_outside_the_classes_rejected(self):
+        with pytest.raises(ValueError, match="'c'"):
+            train_nb([{0: 1.0}, {1: 1.0}, {0: 5.0}], ["a", "b", "c"], vocab_size=2, classes=("a", "b"))
 
     @settings(max_examples=300, deadline=None)
     @given(nb_problems())
@@ -445,3 +450,70 @@ class TestSVMMatchesDenseOracle:
                 train_svm(vectors, labels, lambda_=0.1, epochs=epochs, seed=3),
                 train_svm_dense(vectors, labels, lambda_=0.1, epochs=epochs, seed=3),
             )
+
+
+# --- two fits in one pass -----------------------------------------------------
+
+@st.composite
+def svm_pair_problems(draw):
+    """An svm_problems problem and a second vector set with the same indices in
+    the same order; its values may be large enough to overflow its fit."""
+    problem = draw(svm_problems())
+    value = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        value = value | st.floats(min_value=1e300, max_value=1e308) | st.floats(min_value=-1e308, max_value=-1e300)
+    other = [{idx: draw(value) for idx in vec} for vec in problem["vectors"]]
+    return problem, other
+
+
+def assert_same_bits(got, want):
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
+    assert (got.n_pos, got.n_neg) == (want.n_pos, want.n_neg)
+
+
+class TestSVMPair:
+    @settings(max_examples=300, deadline=None)
+    @given(svm_pair_problems())
+    @example(
+        (
+            {
+                "vectors": [{0: 1.0}, {0: -1.0, 1: 2.0}, {}],
+                "labels": [1, -1, 1],
+                "lambda_": 0.01,
+                "epochs": 3,
+                "seed": 1,
+                "vocab_size": 3,
+            },
+            [{0: 1e308}, {0: -1e308, 1: 1e308}, {}],
+        )
+    )
+    def test_each_lane_equals_its_own_fit(self, case):
+        problem, other = case
+        vectors = problem["vectors"]
+        kwargs = {key: value for key, value in problem.items() if key != "vectors"}
+        with np.errstate(all="ignore"):  # a lane may overflow
+            got_a, got_b = train_svm_pair(vectors, other, **kwargs)
+            assert_same_bits(got_a, train_svm(vectors, **kwargs))
+            assert_same_bits(got_b, train_svm(other, **kwargs))
+
+    def test_an_overflowing_lane_leaves_the_other_alone(self):
+        vectors = [{0: 1.0}, {0: -1.0}]
+        huge = [{0: 1e308}, {0: -1e308}]
+        kwargs = dict(labels=[1, -1], lambda_=0.01, epochs=2, seed=0)
+        with np.errstate(all="ignore"):
+            got, overflowed = train_svm_pair(vectors, huge, **kwargs)
+        assert not np.isfinite(overflowed.weights).all()
+        assert_same_bits(got, train_svm(vectors, **kwargs))
+
+    @pytest.mark.parametrize(
+        "other",
+        [[{1: 1.0, 0: 2.0}, {}], [{0: 1.0}, {}], [{0: 1.0, 1: 1.0}, {2: 1.0}], [{0: 1.0, 1: 1.0}]],
+    )
+    def test_vectors_with_other_indices_rejected(self, other):
+        with pytest.raises(ValueError, match="same indices|equal length"):
+            train_svm_pair([{0: 1.0, 1: 1.0}, {}], other, [1, -1], lambda_=0.1, epochs=1, seed=0, vocab_size=3)
+
+    def test_each_lane_gets_the_input_checks(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            train_svm_pair([{0: 1.0}, {}], [{0: math.inf}, {}], [1, -1], lambda_=0.1, epochs=1, seed=0)

@@ -255,14 +255,7 @@ class TestCrossValidateGrid:
         configs = [cell.config for cell in cells if cell.table == "table1"]
         # one feature key, 4 metrics, 2 classifiers
         assert len(configs) == 8 and len({c.metric for c in configs}) == 4
-        calls = Counter()
-        for name in ("extract_counts", "compute_metric"):
-
-            def counted(*args, _real=getattr(pipeline, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(pipeline, name, counted)
+        calls = count_calls(monkeypatch, "extract_counts", "compute_metric")
         force_workers(monkeypatch, 1)
         k = 3
         cross_validate_grid(corpus, configs, k=k, stop_list=stop, rules=rules)
@@ -273,6 +266,47 @@ class TestCrossValidateGrid:
         # and stage 2 as well when it is polar
         assert calls["extract_counts"] == 2 * len(labeled) + (k - 1) * (len(labeled) + polar)
         assert calls["compute_metric"] == 4 * calls["extract_counts"]
+
+    def test_svm_cells_of_a_key_share_one_fit_pass(self, monkeypatch):
+        corpus, stop, rules, cells = grid_case()
+        configs = [cell.config for cell in cells if cell.table == "table1"]
+        calls = count_calls(monkeypatch, "train_svm", "train_svm_pair")
+        force_workers(monkeypatch, 1)
+        k = 3
+        cross_validate_grid(corpus, configs, k=k, stop_list=stop, rules=rules)
+        # 4 SVM cells in 2 pairs (presence with count, frequency with ifrequency), per stage and fold
+        assert calls == {"train_svm_pair": 2 * 2 * k}
+        calls.clear()
+        train_two_stage(corpus, configs[1], stop_list=stop, rules=rules)
+        assert calls == {"train_svm": 2}
+
+    def test_svm_cells_whose_indices_differ_are_fitted_alone(self, monkeypatch):
+        # "zz" is in every post, so its idf is 0 and ifrequency drops it while presence keeps it
+        corpus = Corpus(posts=tuple(replace(p, text=p.text + " zz") for p in generate_corpus(n_posts=90, seed=5)))
+        configs = [PipelineConfig(metric=m, min_count=2, svm_epochs=3) for m in ("presence", "ifrequency")]
+        calls = count_calls(monkeypatch, "train_svm", "train_svm_pair")
+        force_workers(monkeypatch, 1)
+        reports = cross_validate_grid(corpus, configs, k=3)
+        assert calls == {"train_svm": 2 * 2 * 3}
+        assert reports == [cross_validate(corpus, config, k=3) for config in configs]
+
+    def test_a_held_partner_is_checked_at_its_own_turn(self, monkeypatch):
+        # the pair's second model is non-finite: the first stage is still
+        # yielded, and the error is raised only when the second one is asked for
+        def poisoned(*args, _real=pipeline.train_svm_pair, **kwargs):
+            first, second = _real(*args, **kwargs)
+            return first, replace(second, bias=math.nan)
+
+        monkeypatch.setattr(pipeline, "train_svm_pair", poisoned)
+        posts = generate_corpus(n_posts=60, seed=3).labeled()
+        configs = [PipelineConfig(metric=m, min_count=2, svm_epochs=3) for m in ("presence", "count")]
+        rows, labels = pipeline._stage_rows(posts)["subjectivity"]
+        tokens = pipeline._base_token_table(posts, configs, None)
+        fits = pipeline._stage_fits("subjectivity", posts, rows, labels, configs, [None, None], tokens, ())
+        stage, _ = next(fits)
+        assert math.isfinite(stage.bias)
+        with pytest.raises(ValueError, match="stage 'subjectivity'.*non-finite"):
+            next(fits)
 
     @pytest.mark.parametrize("k", [1, 0, -2])
     def test_fewer_than_two_folds_rejected(self, separable_corpus, k):
@@ -295,6 +329,19 @@ class TestCrossValidateGrid:
     def test_empty_config_list_rejected(self, separable_corpus):
         with pytest.raises(ValueError, match="no configs to cross-validate"):
             cross_validate_grid(separable_corpus, [], k=3)
+
+
+def count_calls(monkeypatch, *names):
+    """Count the pipeline's calls of the functions it imports under these names."""
+    calls = Counter()
+    for name in names:
+
+        def counted(*args, _real=getattr(pipeline, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
 
 
 def force_workers(monkeypatch, n):
