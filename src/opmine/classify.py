@@ -247,13 +247,6 @@ def train_svm(
     return _svm_model(vectors, labs, u, c, h, b_sum, lambda_, t)
 
 
-def same_indices(vectors_a: Sequence[dict[int, float]], vectors_b: Sequence[dict[int, float]]) -> bool:
-    """Whether each post has the same indices in the same order in both vector sets."""
-    if len(vectors_a) != len(vectors_b):
-        return False
-    return all(list(a) == list(b) for a, b in zip(vectors_a, vectors_b))
-
-
 def train_svm_pair(
     vectors_a: Sequence[dict[int, float]],
     vectors_b: Sequence[dict[int, float]],
@@ -263,18 +256,21 @@ def train_svm_pair(
     seed: int,
     vocab_size: int | None = None,
 ) -> tuple[SVMModel, SVMModel]:
-    """``train_svm`` on vectors_a and on vectors_b in one pass: the same two models,
-    bit for bit.
+    """``train_svm`` on vectors_a and on vectors_b: the same two models, bit for bit.
 
-    Both fits walk the same example order, step counter and harmonic sum, so one
-    loop carries two sets of (u, c, b, b_sum), each updated by the arithmetic of
-    ``train_svm``. Post j must have the same indices in the same order in both
-    sets, so that one (idx, a_val, b_val) row per non-zero serves both dots.
+    When each post has the same indices in the same order in both sets, both
+    fits walk the same example order, step counter and harmonic sum in one
+    loop: it carries two sets of (u, c, b, b_sum), each updated by the
+    arithmetic of ``train_svm``, and one (idx, a_val, b_val) row per non-zero
+    serves both dots. Other sets are fitted by two ``train_svm`` calls.
     """
+    if list(map(list, vectors_a)) != list(map(list, vectors_b)):
+        return (
+            train_svm(vectors_a, labels, lambda_, epochs, seed, vocab_size),
+            train_svm(vectors_b, labels, lambda_, epochs, seed, vocab_size),
+        )
     labs, vocab_size = _svm_inputs(vectors_a, labels, lambda_, epochs, vocab_size)
     _svm_inputs(vectors_b, labels, lambda_, epochs, vocab_size)
-    if not same_indices(vectors_a, vectors_b):
-        raise ValueError("paired vectors must have the same indices in the same order")
     rows = [tuple(zip(a, a.values(), b.values())) for a, b in zip(vectors_a, vectors_b)]
     rng = np.random.default_rng(seed)
     n = len(rows)

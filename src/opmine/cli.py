@@ -164,8 +164,20 @@ def _render_grid(table: str, results: list[tuple[GridCell, EvaluationReport]]) -
     return "\n".join(lines)
 
 
+# the flags of the PipelineConfig fields that grid_cells sets in every cell
+_GRID_SET_FLAGS = {
+    "metric": "--metric", "classifier": "--classifier", "ngrams": "--ngrams",
+    "rule_mode": "--rule-mode", "stemming": "--stem",
+}
+
+
 def cmd_evaluate(args) -> int:
     config, stop_list, rules, input_paths = _build_inputs(args)
+    if args.grid:
+        default = PipelineConfig()
+        for name, flag in _GRID_SET_FLAGS.items():
+            if getattr(config, name) != getattr(default, name):
+                raise ValueError(f"--grid {args.grid} sets {flag} in every cell; drop {flag}")
     corpus = load_corpus(args.corpus)
     input_paths["corpus"] = args.corpus
     stratified = not args.no_stratified

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .classify import SVMModel, decide, same_indices, train_nb, train_svm, train_svm_pair
+from .classify import SVMModel, decide, train_nb, train_svm, train_svm_pair
 from .corpus import (
     GOLD_LABELS,
     LABEL_NEGATIVE,
@@ -257,24 +257,23 @@ def _fit_stage(
     A fit that overflowed to non-finite weights or bias raises ValueError.
     """
     classes = STAGE_CLASSES[name]
-    with np.errstate(all="ignore"):  # an overflow is an error below, not a warning
-        if config.classifier == CLASSIFIER_NB:
-            # the log-posterior margin is linear in x (see predict_nb)
-            nb = train_nb(
-                vectors,
-                labels,
-                smoothing=config.nb_smoothing,
-                vocab_size=len(dictionary),
-                classes=classes,
-            )
-            pos, neg = classes
-            weights = nb.feature_log_likelihood[pos] - nb.feature_log_likelihood[neg]
-            bias = nb.class_log_prior[pos] - nb.class_log_prior[neg]
-            counts = (nb.class_counts[pos], nb.class_counts[neg])
-        else:
-            if svm is None:
-                svm = train_svm(vectors, *_svm_args(name, labels, config, dictionary))
-            weights, bias, counts = svm.weights, svm.bias, (svm.n_pos, svm.n_neg)
+    if config.classifier == CLASSIFIER_NB:
+        # the log-posterior margin is linear in x (see predict_nb)
+        nb = train_nb(
+            vectors,
+            labels,
+            smoothing=config.nb_smoothing,
+            vocab_size=len(dictionary),
+            classes=classes,
+        )
+        pos, neg = classes
+        weights = nb.feature_log_likelihood[pos] - nb.feature_log_likelihood[neg]
+        bias = nb.class_log_prior[pos] - nb.class_log_prior[neg]
+        counts = (nb.class_counts[pos], nb.class_counts[neg])
+    else:
+        if svm is None:
+            svm = train_svm(vectors, *_svm_args(name, labels, config, dictionary))
+        weights, bias, counts = svm.weights, svm.bias, (svm.n_pos, svm.n_neg)
     if not (np.isfinite(weights).all() and math.isfinite(bias)):
         knob = "nb_smoothing" if config.classifier == CLASSIFIER_NB else "svm_lambda"
         raise ValueError(
@@ -298,17 +297,6 @@ def _svm_args(name: str, labels: list[str], config: PipelineConfig, dictionary: 
     return signs, config.svm_lambda, config.svm_epochs, config.seed, len(dictionary)
 
 
-def _svm_pairs(keys: Sequence[tuple], configs: Sequence[PipelineConfig]) -> dict[int, int]:
-    """Config positions i -> j (i < j) of the SVM configs that may share one fit
-    pass: those of one feature key and one (svm_lambda, svm_epochs, seed), paired
-    in config order; an odd one out has no partner."""
-    groups: dict[tuple, list[int]] = {}
-    for pos, (key, c) in enumerate(zip(keys, configs)):
-        if c.classifier == CLASSIFIER_SVM:
-            groups.setdefault((key, c.svm_lambda, c.svm_epochs, c.seed), []).append(pos)
-    return {i: j for group in groups.values() for i, j in zip(group[::2], group[1::2])}
-
-
 # PipelineConfig fields read only by the metric, the fit or the fold plan; the
 # other fields form the feature key of the configs that share a stage's features
 _FIT_FIELDS = frozenset({"metric", "classifier", "nb_smoothing", "svm_lambda", "svm_epochs", "seed"})
@@ -323,64 +311,60 @@ def _stage_fits(
     scoped: Sequence[Optional[RuleLexicons]],
     tokens: dict[bool, dict[str, list[str]]],
     test_posts: Sequence[Post],
-) -> Iterator[tuple[StageModel, list[Optional[dict[int, float]]]]]:
-    """One stage of each config, in order: the stage fitted on the rows of
-    train_posts and their labels, and the raw metric vectors of test_posts
+) -> list[tuple[StageModel, list[Optional[dict[int, float]]]]]:
+    """One stage of each config, in config order: the stage fitted on the rows
+    of train_posts and their labels, and the raw metric vectors of test_posts
     (None: zero total count).
 
-    tokens maps each stop-word setting to post text -> base tokens. Configs
-    with one feature key share the trie and dictionary built from the rows;
-    each post is counted once per key and its vector computed once per metric
-    that configs of that key use, so no counts are kept. Two SVM configs of
-    _svm_pairs whose training vectors have the same indices in the same order
-    are fitted in one train_svm_pair pass at the first one's turn; the second's
-    SVM and vectors are held until its own turn, so each stage is still checked
-    and yielded in config order.
+    tokens maps each stop-word setting to post text -> base tokens. The configs
+    are fitted one feature key at a time: they share the trie and dictionary
+    built from the rows, and each post is counted once per key and its vector
+    computed once per metric that configs of that key use, so no counts are
+    kept. A key's SVM configs with equal (svm_lambda, svm_epochs, seed) are
+    fitted two at a time, in config order, by train_svm_pair.
     """
     keys = [tuple(getattr(c, f.name) for f in fields(c) if f.name not in _FIT_FIELDS) for c in configs]
-    partners = _svm_pairs(keys, configs)
-    held: dict[int, tuple[Optional[SVMModel], list[dict[int, float]]]] = {}
     n = len(rows)
-    cache: dict[tuple, tuple] = {}
-    for pos, (key, config, rules) in enumerate(zip(keys, configs, scoped)):
-        if key not in cache:
-            base = tokens[config.stop_words]
-            # the rows' base tokens, then the held-out posts'
-            seqs = [base[train_posts[i].text] for i in rows] + [base[p.text] for p in test_posts]
-            trie: Optional[SuffixTrie] = None
-            if config.stemming:
-                trie = build_suffix_trie({t for seq in seqs[:n] for t in seq})
-                seqs = [stem_tokens(trie, seq) for seq in seqs]
-            dictionary = build_dictionary(
-                [rule_adjusted_tokens(seq, rules, config.rule_mode) for seq in seqs[:n]],
-                NGRAM_SIZES[config.ngrams],
-                config.min_count,
-            )
-            raw: dict[str, list] = {c.metric: [] for k, c in zip(keys, configs) if k == key}
-            for seq in seqs:
-                counts = extract_counts(seq, dictionary, rules, config.rule_mode)
-                for metric, column in raw.items():
-                    column.append(_raw_metric(metric, counts, dictionary))
-            cache[key] = trie, dictionary, raw
-        trie, dictionary, raw = cache[key]
-
-        def train_vectors(c: PipelineConfig) -> list[dict[int, float]]:
-            return [_classifier_vector(v, c, train_posts[i].id) for v, i in zip(raw[c.metric], rows)]
-
-        svm: Optional[SVMModel] = None
-        if pos in held:
-            svm, vectors = held.pop(pos)
-        else:
-            vectors = train_vectors(config)
-            if pos in partners:
-                other = train_vectors(configs[partners[pos]])
-                other_svm = None
-                if same_indices(vectors, other):
-                    args = _svm_args(name, labels, config, dictionary)
-                    with np.errstate(all="ignore"):  # _fit_stage checks each model at its own turn
-                        svm, other_svm = train_svm_pair(vectors, other, *args)
-                held[partners[pos]] = other_svm, other
-        yield _fit_stage(name, trie, dictionary, vectors, labels, config, svm), raw[config.metric][n:]
+    fits: list = [None] * len(configs)
+    for key in dict.fromkeys(keys):
+        members = {pos: c for pos, (k, c) in enumerate(zip(keys, configs)) if k == key}
+        first = next(iter(members))
+        config, rules = configs[first], scoped[first]
+        base = tokens[config.stop_words]
+        # the rows' base tokens, then the held-out posts'
+        seqs = [base[train_posts[i].text] for i in rows] + [base[p.text] for p in test_posts]
+        trie: Optional[SuffixTrie] = None
+        if config.stemming:
+            trie = build_suffix_trie({t for seq in seqs[:n] for t in seq})
+            seqs = [stem_tokens(trie, seq) for seq in seqs]
+        dictionary = build_dictionary(
+            [rule_adjusted_tokens(seq, rules, config.rule_mode) for seq in seqs[:n]],
+            NGRAM_SIZES[config.ngrams],
+            config.min_count,
+        )
+        raw: dict[str, list] = {c.metric: [] for c in members.values()}
+        for seq in seqs:
+            counts = extract_counts(seq, dictionary, rules, config.rule_mode)
+            for metric, column in raw.items():
+                column.append(_raw_metric(metric, counts, dictionary))
+        vectors = {
+            pos: [_classifier_vector(v, c, train_posts[i].id) for v, i in zip(raw[c.metric], rows)]
+            for pos, c in members.items()
+        }
+        groups: dict[tuple, list[int]] = {}
+        for pos, c in members.items():
+            if c.classifier == CLASSIFIER_SVM:
+                groups.setdefault((c.svm_lambda, c.svm_epochs, c.seed), []).append(pos)
+        svms: dict[int, SVMModel] = {}
+        with np.errstate(all="ignore"):  # an overflow is an error in _fit_stage, not a warning
+            for group in groups.values():
+                for i, j in zip(group[::2], group[1::2]):
+                    args = _svm_args(name, labels, configs[i], dictionary)
+                    svms[i], svms[j] = train_svm_pair(vectors[i], vectors[j], *args)
+            for pos, c in members.items():
+                stage = _fit_stage(name, trie, dictionary, vectors[pos], labels, c, svms.get(pos))
+                fits[pos] = stage, raw[c.metric][n:]
+    return fits
 
 
 def _train_stage(
@@ -578,7 +562,7 @@ def _evaluate_configs(
     """One fold of every config: train on the labeled train_posts, score test_posts.
 
     tokens maps each stop-word setting to post text -> base tokens (see
-    _stage_fits, which fits each stage of each config in turn). Polarity-stage
+    _stage_fits, which fits one stage of every config). Polarity-stage
     accuracy is measured against gold-subjective posts directly (not stage-1
     survivors); end-to-end counts the final three-way label.
     """

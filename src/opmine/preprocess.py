@@ -67,16 +67,6 @@ def build_suffix_trie(vocabulary: Iterable[str]) -> SuffixTrie:
     return SuffixTrie(root=root, vocabulary=words)
 
 
-def successor_variety(trie: SuffixTrie, word: str, i: int) -> int:
-    """Number of distinct characters following word[:i] among vocabulary words."""
-    if not 0 <= i <= len(word):
-        raise ValueError(f"position {i} out of range for word {word!r}")
-    vs = _variety_sequence(trie, word[:i])
-    if len(vs) <= i:
-        raise ValueError(f"prefix {word[:i]!r} not present in the trie")
-    return vs[i]
-
-
 def _variety_sequence(trie: SuffixTrie, word: str) -> list[int]:
     """v(0..L) where L is the deepest position whose prefix stays inside the trie."""
     vs = [len(trie.root)]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from opmine import synthetic
+from opmine.preprocess import SuffixTrie, _variety_sequence
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +48,13 @@ def make_separable_2d(n=60, seed=5, margin=0.5):
             vectors.append({0: x[0], 1: x[1]})
             labels.append(1 if s > 0 else -1)
     return vectors, labels, w_true
+
+
+def successor_variety(trie: SuffixTrie, word: str, i: int) -> int:
+    """Number of distinct characters following word[:i] among vocabulary words."""
+    if not 0 <= i <= len(word):
+        raise ValueError(f"position {i} out of range for word {word!r}")
+    vs = _variety_sequence(trie, word[:i])
+    if len(vs) <= i:
+        raise ValueError(f"prefix {word[:i]!r} not present in the trie")
+    return vs[i]

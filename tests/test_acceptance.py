@@ -34,11 +34,11 @@ from opmine.pipeline import (
     cross_validate,
     evaluate_fold,
 )
-from opmine.preprocess import build_suffix_trie, stem, successor_variety, tokenize
+from opmine.preprocess import build_suffix_trie, stem, tokenize
 from opmine.stats import MoodRow, mood_by_topic
 from opmine.synthetic import generate_corpus
 
-from conftest import make_separable_2d
+from conftest import make_separable_2d, successor_variety
 from svm_oracle import svm_objective, svm_objective_gradient
 from synthetic_helpers import shuffle_labels
 from test_classify import brute_force_nb_score

@@ -456,13 +456,20 @@ class TestSVMMatchesDenseOracle:
 
 @st.composite
 def svm_pair_problems(draw):
-    """An svm_problems problem and a second vector set with the same indices in
-    the same order; its values may be large enough to overflow its fit."""
+    """An svm_problems problem and a second vector set over its posts, with the
+    same indices in the same order or with a post's indices dropped or
+    reordered; its values may be large enough to overflow its fit."""
     problem = draw(svm_problems())
     value = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)
     if draw(st.booleans()):
         value = value | st.floats(min_value=1e300, max_value=1e308) | st.floats(min_value=-1e308, max_value=-1e300)
-    other = [{idx: draw(value) for idx in vec} for vec in problem["vectors"]]
+    other_indices = draw(st.booleans())
+    other = []
+    for vec in problem["vectors"]:
+        indices = list(vec)
+        if other_indices:
+            indices = draw(st.permutations(indices))[: draw(st.integers(0, len(indices)))]
+        other.append({idx: draw(value) for idx in indices})
     return problem, other
 
 
@@ -488,6 +495,20 @@ class TestSVMPair:
             [{0: 1e308}, {0: -1e308, 1: 1e308}, {}],
         )
     )
+    # vocab sizes inferred from each set: 1 for the first, 4 for the second
+    @example(
+        (
+            {
+                "vectors": [{0: 1.0}, {0: -1.0}],
+                "labels": [1, -1],
+                "lambda_": 0.1,
+                "epochs": 2,
+                "seed": 0,
+                "vocab_size": None,
+            },
+            [{0: 1.0, 3: 2.0}, {0: -1.0}],
+        )
+    )
     def test_each_lane_equals_its_own_fit(self, case):
         problem, other = case
         vectors = problem["vectors"]
@@ -511,8 +532,17 @@ class TestSVMPair:
         [[{1: 1.0, 0: 2.0}, {}], [{0: 1.0}, {}], [{0: 1.0, 1: 1.0}, {2: 1.0}], [{0: 1.0, 1: 1.0}]],
     )
     def test_vectors_with_other_indices_rejected(self, other):
-        with pytest.raises(ValueError, match="same indices|equal length"):
-            train_svm_pair([{0: 1.0, 1: 1.0}, {}], other, [1, -1], lambda_=0.1, epochs=1, seed=0, vocab_size=3)
+        # the one-pass loop turns such sets away to two train_svm fits; a set
+        # of another length is rejected by train_svm's input checks
+        vectors = [{0: 1.0, 1: 1.0}, {}]
+        kwargs = dict(labels=[1, -1], lambda_=0.1, epochs=1, seed=0, vocab_size=3)
+        if len(other) != len(vectors):
+            with pytest.raises(ValueError, match="equal length"):
+                train_svm_pair(vectors, other, **kwargs)
+            return
+        got_a, got_b = train_svm_pair(vectors, other, **kwargs)
+        assert_same_bits(got_a, train_svm(vectors, **kwargs))
+        assert_same_bits(got_b, train_svm(other, **kwargs))
 
     def test_each_lane_gets_the_input_checks(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -487,6 +487,8 @@ def test_non_finite_fit_fails_with_one_error_line(corpus_file, tmp_path, capsys,
         "evaluate-grid": ["evaluate", str(corpus_file), "--folds", "3", "--grid", "table1",
                           "--out", str(tmp_path / "grid")],
     }[command]
+    if command == "evaluate-grid" and flags[:2] == ["--classifier", "nb"]:
+        flags = flags[2:]  # every table1 cell sets its classifier; its NB cells still overflow
     # a numpy overflow warning would fail the test too: pytest turns RuntimeWarning into an error
     _assert_one_error_line(capsys, main([*argv, "--min-count", "2", *flags]), hint)
     assert not out.exists() and not (tmp_path / "grid").exists()
@@ -592,6 +594,29 @@ class TestEvaluate:
         assert rc == 0
         assert out.exists()
         assert out.with_name(out.name + ".manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--metric", "presence"], "--metric"),
+            (["--classifier", "nb"], "--classifier"),
+            (["--ngrams", "bigrams"], "--ngrams"),
+            (["--rule-mode", "tag"], "--rule-mode"),
+            (["--stem"], "--stem"),
+        ],
+    )
+    def test_grid_rejects_a_flag_that_every_cell_sets(self, corpus_file, tmp_path, capsys, flags, flag):
+        # table4, as --rule-mode needs --rules
+        neg, emp = tmp_path / "neg.txt", tmp_path / "emp.txt"
+        neg.write_text("nodok\n", encoding="utf-8")
+        emp.write_text("mnogu\n", encoding="utf-8")
+        out = tmp_path / "grid"
+        rc = main(
+            ["evaluate", str(corpus_file), "--grid", "table4", "--folds", "3", "--out", str(out),
+             "--rules", f"neg={neg},emp={emp}", *flags]
+        )
+        _assert_one_error_line(capsys, rc, f"--grid table4 sets {flag} in every cell")
+        assert not out.exists()
 
     def test_grid_table2_requires_stop_words(self, corpus_file, capsys):
         rc = main(["evaluate", str(corpus_file), "--grid", "table2", "--folds", "3"])

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opmine import pipeline
+from opmine import classify, pipeline
 from opmine.classify import SVMModel, predict_nb, predict_svm
 from opmine.corpus import GOLD_LABELS, Corpus, CorpusError, Post, split_folds
 from opmine.features import METRICS, RuleLexicons
@@ -284,15 +284,14 @@ class TestCrossValidateGrid:
         # "zz" is in every post, so its idf is 0 and ifrequency drops it while presence keeps it
         corpus = Corpus(posts=tuple(replace(p, text=p.text + " zz") for p in generate_corpus(n_posts=90, seed=5)))
         configs = [PipelineConfig(metric=m, min_count=2, svm_epochs=3) for m in ("presence", "ifrequency")]
-        calls = count_calls(monkeypatch, "train_svm", "train_svm_pair")
+        calls = count_calls(monkeypatch, "train_svm", module=classify)
         force_workers(monkeypatch, 1)
         reports = cross_validate_grid(corpus, configs, k=3)
+        # the pair trainer fits each of its two sets alone, per stage and fold
         assert calls == {"train_svm": 2 * 2 * 3}
         assert reports == [cross_validate(corpus, config, k=3) for config in configs]
 
-    def test_a_held_partner_is_checked_at_its_own_turn(self, monkeypatch):
-        # the pair's second model is non-finite: the first stage is still
-        # yielded, and the error is raised only when the second one is asked for
+    def test_a_non_finite_partner_fails_its_stage(self, monkeypatch):
         def poisoned(*args, _real=pipeline.train_svm_pair, **kwargs):
             first, second = _real(*args, **kwargs)
             return first, replace(second, bias=math.nan)
@@ -302,11 +301,20 @@ class TestCrossValidateGrid:
         configs = [PipelineConfig(metric=m, min_count=2, svm_epochs=3) for m in ("presence", "count")]
         rows, labels = pipeline._stage_rows(posts)["subjectivity"]
         tokens = pipeline._base_token_table(posts, configs, None)
-        fits = pipeline._stage_fits("subjectivity", posts, rows, labels, configs, [None, None], tokens, ())
-        stage, _ = next(fits)
-        assert math.isfinite(stage.bias)
         with pytest.raises(ValueError, match="stage 'subjectivity'.*non-finite"):
-            next(fits)
+            pipeline._stage_fits("subjectivity", posts, rows, labels, configs, [None, None], tokens, ())
+
+    def test_each_feature_key_builds_one_dictionary_per_stage_and_fold(self, monkeypatch):
+        corpus, stop, rules, cells = grid_case()
+        configs = [cell.config for cell in cells if cell.table == "table3"]
+        keys = [c.ngrams for c in configs]
+        # 3 feature keys, interleaved in config order
+        assert len(set(keys)) == 3 and keys != sorted(keys, key=keys.index)
+        calls = count_calls(monkeypatch, "build_dictionary")
+        force_workers(monkeypatch, 1)
+        k = 3
+        cross_validate_grid(corpus, configs, k=k, stop_list=stop, rules=rules)
+        assert calls == {"build_dictionary": 3 * 2 * k}
 
     @pytest.mark.parametrize("k", [1, 0, -2])
     def test_fewer_than_two_folds_rejected(self, separable_corpus, k):
@@ -331,16 +339,16 @@ class TestCrossValidateGrid:
             cross_validate_grid(separable_corpus, [], k=3)
 
 
-def count_calls(monkeypatch, *names):
-    """Count the pipeline's calls of the functions it imports under these names."""
+def count_calls(monkeypatch, *names, module=pipeline):
+    """Count the calls, from within module, of the functions it has under these names."""
     calls = Counter()
     for name in names:
 
-        def counted(*args, _real=getattr(pipeline, name), _name=name, **kwargs):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 

@@ -12,9 +12,10 @@ from opmine.preprocess import (
     remove_stop_words,
     stem,
     stem_tokens,
-    successor_variety,
     tokenize,
 )
+
+from conftest import successor_variety
 
 
 class TestTokenize:
