@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -98,6 +99,9 @@ def _build_inputs(args) -> tuple[PipelineConfig, Optional[frozenset[str]], Optio
         rules, scope, rule_paths = _parse_rules_spec(args.rules)
     if args.rule_mode != RULE_MODE_OFF and rules is None:
         raise ValueError(f"--rule-mode {args.rule_mode} requires --rules")
+    # a grid sets each cell's rule mode itself; train has no --grid
+    if rules is not None and args.rule_mode == RULE_MODE_OFF and not getattr(args, "grid", None):
+        raise ValueError("--rules needs --rule-mode tag or signed-count; without it no rule applies")
     config = PipelineConfig(
         metric=args.metric,
         classifier=args.classifier,
@@ -138,7 +142,7 @@ def cmd_train(args) -> int:
     _write_manifest(
         out.with_name(out.name + ".manifest.json"),
         "train",
-        config.to_dict(),
+        asdict(config),
         input_paths,
         [str(out)],
     )
@@ -178,18 +182,22 @@ def cmd_evaluate(args) -> int:
         for name, flag in _GRID_SET_FLAGS.items():
             if getattr(config, name) != getattr(default, name):
                 raise ValueError(f"--grid {args.grid} sets {flag} in every cell; drop {flag}")
+        cells = grid_cells(args.grid, config)
+        uses_stop_words = any(cell.config.stop_words for cell in cells)
+        uses_rules = any(cell.config.rule_mode != RULE_MODE_OFF for cell in cells)
+        if stop_list is not None and not uses_stop_words:
+            raise ValueError(f"--grid {args.grid} removes no stop words in any cell; drop --stop-words")
+        if rules is not None and not uses_rules:
+            raise ValueError(f"--grid {args.grid} applies no rules in any cell; drop --rules")
+        if uses_stop_words and stop_list is None:
+            raise ValueError(f"--grid {args.grid} needs --stop-words for its preprocessing rows")
+        if uses_rules and (rules is None or not rules.negatory or not rules.emphasizer):
+            raise ValueError(f"--grid {args.grid} needs --rules with both neg= and emp= lexicons")
     corpus = load_corpus(args.corpus)
     input_paths["corpus"] = args.corpus
     stratified = not args.no_stratified
 
     if args.grid:
-        if args.grid in ("table2",) and stop_list is None:
-            raise ValueError(f"--grid {args.grid} needs --stop-words for its preprocessing rows")
-        if args.grid == "table4" and (
-            rules is None or not rules.negatory or not rules.emphasizer
-        ):
-            raise ValueError("--grid table4 needs --rules with both neg= and emp= lexicons")
-        cells = grid_cells(args.grid, config)
         reports = cross_validate_grid(
             corpus, [cell.config for cell in cells], k=args.folds, stop_list=stop_list,
             rules=rules, stratified=stratified,
@@ -204,8 +212,8 @@ def cmd_evaluate(args) -> int:
                     "block": cell.block,
                     "row": cell.row,
                     "classifier": cell.classifier,
-                    "config": cell.config.to_dict(),
-                    "report": report.to_dict(),
+                    "config": asdict(cell.config),
+                    "report": asdict(report),
                 }
                 for cell, report in results
             ],
@@ -220,7 +228,7 @@ def cmd_evaluate(args) -> int:
             _write_manifest(
                 out_dir / "manifest.json",
                 "evaluate",
-                {"grid": args.grid, "base": config.to_dict(), "k": args.folds,
+                {"grid": args.grid, "base": asdict(config), "k": args.folds,
                  "stratified": stratified},
                 input_paths,
                 [str(grid_json), str(grid_txt)],
@@ -231,14 +239,14 @@ def cmd_evaluate(args) -> int:
     report = cross_validate(
         corpus, config, k=args.folds, stop_list=stop_list, rules=rules, stratified=stratified
     )
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n"
+    text = json.dumps(asdict(report), sort_keys=True, indent=1) + "\n"
     if args.out:
         out = Path(args.out)
         atomic_write_text(out, text)
         _write_manifest(
             out.with_name(out.name + ".manifest.json"),
             "evaluate",
-            {"config": config.to_dict(), "k": args.folds, "stratified": stratified},
+            {"config": asdict(config), "k": args.folds, "stratified": stratified},
             input_paths,
             [str(out)],
         )
@@ -275,6 +283,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.by_year_month and args.by != "month":
+        raise ValueError("--by-year-month needs --by month")
     corpus = load_corpus(args.input)
     pairs = [(p, p.label) for p in corpus]
     if args.by == "topic":

@@ -51,10 +51,6 @@ class Post:
         if self.label not in LABELS:
             raise CorpusError(f"post {self.id!r}: unknown label {self.label!r}")
 
-    @property
-    def is_labeled(self) -> bool:
-        return self.label != LABEL_UNLABELED
-
     def to_record(self) -> dict:
         record: dict = {"id": self.id, "text": self.text}
         if self.topic is not None:
@@ -88,7 +84,7 @@ class Corpus:
         return len(self.posts)
 
     def labeled(self) -> tuple[Post, ...]:
-        return tuple(p for p in self.posts if p.is_labeled)
+        return tuple(p for p in self.posts if p.label != LABEL_UNLABELED)
 
 
 def _post_from_record(record: dict, line_no: int) -> Post:
@@ -100,8 +96,6 @@ def _post_from_record(record: dict, line_no: int) -> Post:
         if not isinstance(record[key], str):
             raise CorpusError(f"line {line_no}: field {key!r} must be a string")
     label = record.get("label", LABEL_UNLABELED)
-    if label not in LABELS:
-        raise CorpusError(f"line {line_no}: unknown label {label!r}")
     topic = record.get("topic")
     if topic is not None and not isinstance(topic, str):
         raise CorpusError(f"line {line_no}: field 'topic' must be a string")

@@ -136,13 +136,6 @@ class PipelineConfig:
         if self.seed < 0:  # numpy's generator takes no negative seed
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class StageModel:
@@ -228,17 +221,17 @@ def vectorize(
     return _classifier_vector(_raw_metric(config.metric, counts, dictionary), config, post_id)
 
 
-def _stage_rows(posts: Sequence[Post]) -> dict[str, tuple[Sequence[int], list[str]]]:
-    """Each stage's training posts, as indices into posts, and their labels.
+def _stage_rows(posts: Sequence[Post]) -> dict[str, tuple[Sequence[Post], list[str]]]:
+    """Each stage's training posts and their labels.
 
     Stage 1 sees every post with positive/negative collapsed to "subjective";
     stage 2 sees only the positive/negative posts.
     """
-    polar = [i for i, p in enumerate(posts) if p.label != LABEL_OBJECTIVE]
+    polar = [p for p in posts if p.label != LABEL_OBJECTIVE]
     subjectivity = [LABEL_OBJECTIVE if p.label == LABEL_OBJECTIVE else LABEL_SUBJECTIVE for p in posts]
     return {
-        STAGE_SUBJECTIVITY: (range(len(posts)), subjectivity),
-        STAGE_POLARITY: (polar, [posts[i].label for i in polar]),
+        STAGE_SUBJECTIVITY: (posts, subjectivity),
+        STAGE_POLARITY: (polar, [p.label for p in polar]),
     }
 
 
@@ -305,34 +298,33 @@ _FIT_FIELDS = frozenset({"metric", "classifier", "nb_smoothing", "svm_lambda", "
 def _stage_fits(
     name: str,
     train_posts: Sequence[Post],
-    rows: Sequence[int],
     labels: list[str],
     configs: Sequence[PipelineConfig],
     scoped: Sequence[Optional[RuleLexicons]],
     tokens: dict[bool, dict[str, list[str]]],
     test_posts: Sequence[Post],
 ) -> list[tuple[StageModel, list[Optional[dict[int, float]]]]]:
-    """One stage of each config, in config order: the stage fitted on the rows
-    of train_posts and their labels, and the raw metric vectors of test_posts
+    """One stage of each config, in config order: the stage fitted on
+    train_posts and their labels, and the raw metric vectors of test_posts
     (None: zero total count).
 
     tokens maps each stop-word setting to post text -> base tokens. The configs
     are fitted one feature key at a time: they share the trie and dictionary
-    built from the rows, and each post is counted once per key and its vector
+    built from train_posts, and each post is counted once per key and its vector
     computed once per metric that configs of that key use, so no counts are
     kept. A key's SVM configs with equal (svm_lambda, svm_epochs, seed) are
     fitted two at a time, in config order, by train_svm_pair.
     """
     keys = [tuple(getattr(c, f.name) for f in fields(c) if f.name not in _FIT_FIELDS) for c in configs]
-    n = len(rows)
+    n = len(train_posts)
     fits: list = [None] * len(configs)
     for key in dict.fromkeys(keys):
         members = {pos: c for pos, (k, c) in enumerate(zip(keys, configs)) if k == key}
         first = next(iter(members))
         config, rules = configs[first], scoped[first]
         base = tokens[config.stop_words]
-        # the rows' base tokens, then the held-out posts'
-        seqs = [base[train_posts[i].text] for i in rows] + [base[p.text] for p in test_posts]
+        # the training posts' base tokens, then the held-out posts'
+        seqs = [base[p.text] for p in (*train_posts, *test_posts)]
         trie: Optional[SuffixTrie] = None
         if config.stemming:
             trie = build_suffix_trie({t for seq in seqs[:n] for t in seq})
@@ -348,7 +340,7 @@ def _stage_fits(
             for metric, column in raw.items():
                 column.append(_raw_metric(metric, counts, dictionary))
         vectors = {
-            pos: [_classifier_vector(v, c, train_posts[i].id) for v, i in zip(raw[c.metric], rows)]
+            pos: [_classifier_vector(v, c, p.id) for v, p in zip(raw[c.metric], train_posts)]
             for pos, c in members.items()
         }
         groups: dict[tuple, list[int]] = {}
@@ -369,7 +361,7 @@ def _stage_fits(
 
 def _train_stage(
     name: str,
-    posts: list[Post],
+    posts: Sequence[Post],
     labels: list[str],
     config: PipelineConfig,
     stop_list: Optional[frozenset[str]],
@@ -377,7 +369,7 @@ def _train_stage(
 ) -> StageModel:
     """One stage of train_two_stage: the one-config case of _stage_fits."""
     tokens = _base_token_table(posts, [config], stop_list)
-    ((stage, _),) = _stage_fits(name, posts, range(len(posts)), labels, [config], [rules], tokens, ())
+    ((stage, _),) = _stage_fits(name, posts, labels, [config], [rules], tokens, ())
     return stage
 
 
@@ -420,8 +412,8 @@ def train_two_stage(
     _require_labels(labeled)
     # the stages share nothing but their inputs, so each may run in its own worker
     subjectivity, polarity = _fork_map(_train_stage, [
-        (name, [labeled[i] for i in rows], labels, config, stop_list, rules)
-        for name, (rows, labels) in _stage_rows(labeled).items()
+        (name, posts, labels, config, stop_list, rules)
+        for name, (posts, labels) in _stage_rows(labeled).items()
     ])
     return TwoStageModel(
         config=config,
@@ -517,11 +509,8 @@ class EvaluationReport:
     confusion: dict[str, dict[str, int]] = field(hash=False)
     n_posts: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-def aggregate_report(fold_evals: Sequence[FoldEval], k: int) -> EvaluationReport:
+def aggregate_report(fold_evals: Sequence[FoldEval]) -> EvaluationReport:
     """Pool fold tallies into one report; aggregate accuracies are micro-averaged
     so end-to-end accuracy equals the confusion-matrix trace over total posts."""
     confusion = {g: {p: 0 for p in GOLD_LABELS} for g in GOLD_LABELS}
@@ -537,7 +526,7 @@ def aggregate_report(fold_evals: Sequence[FoldEval], k: int) -> EvaluationReport
     fold_e2e = tuple(e2e / n for _, e2e, n in folds)
     pol_defined = [a for a in fold_pol if a is not None]
     return EvaluationReport(
-        k=k,
+        k=len(fold_evals),
         fold_subjectivity=fold_subj,
         fold_polarity=fold_pol,
         fold_end_to_end=fold_e2e,
@@ -567,8 +556,8 @@ def _evaluate_configs(
     survivors); end-to-end counts the final three-way label.
     """
     stage_fits = [
-        _stage_fits(name, train_posts, rows, labels, configs, scoped, tokens, test_posts)
-        for name, (rows, labels) in _stage_rows(train_posts).items()
+        _stage_fits(name, posts, labels, configs, scoped, tokens, test_posts)
+        for name, (posts, labels) in _stage_rows(train_posts).items()
     ]
     evals = []
     for subjectivity, polarity, config in zip(*stage_fits, configs):
@@ -617,21 +606,6 @@ def evaluate_fold(
     _require_labels(train_posts)
     tokens = _base_token_table([*train_posts, *test_posts], [config], stop_list)
     return _evaluate_configs(train_posts, test_posts, [config], [scoped], tokens)[0]
-
-
-def _cv_fold(
-    labeled: tuple[Post, ...],
-    fold_of: dict[str, int],
-    configs: Sequence[PipelineConfig],
-    scoped: Sequence[Optional[RuleLexicons]],
-    tokens: dict[bool, dict[str, list[str]]],
-    fold: int,
-) -> list[FoldEval]:
-    """One fold of every config, with that fold's posts held out."""
-    train_posts = tuple(p for p in labeled if fold_of[p.id] != fold)
-    test_posts = [p for p in labeled if fold_of[p.id] == fold]
-    _require_labels(train_posts, f"fold {fold}: ")
-    return _evaluate_configs(train_posts, test_posts, configs, scoped, tokens)
 
 
 def _fold_workers(k: int) -> int:
@@ -732,8 +706,13 @@ def cross_validate_grid(
         folds = ", ".join(map(str, empty))
         raise CorpusError(f"{k} folds leave fold(s) {folds} without test posts (class sizes: {sizes})")
     tokens = _base_token_table(labeled, configs, stop_list)
-    folds = list(_fork_map(_cv_fold, [(labeled, fold_of, configs, scoped, tokens, f) for f in range(k)]))
-    return [aggregate_report(evals, k) for evals in zip(*folds)]
+    calls = []
+    for f in range(k):
+        train = tuple(p for p in labeled if fold_of[p.id] != f)
+        _require_labels(train, f"fold {f}: ")
+        calls.append((train, [p for p in labeled if fold_of[p.id] == f], configs, scoped, tokens))
+    folds = list(_fork_map(_evaluate_configs, calls))
+    return [aggregate_report(evals) for evals in zip(*folds)]
 
 
 def cross_validate(
@@ -876,7 +855,7 @@ def model_to_json(model: TwoStageModel) -> str:
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
         "tool_version": __version__,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "stop_words": sorted(model.stop_list) if model.stop_list is not None else None,
         "rules": (
             {
@@ -1022,7 +1001,7 @@ def load_model(path: str | Path) -> TwoStageModel:
         raise ModelFormatError(f"tool_version must be a string, got {payload['tool_version']!r}")
     _check_keys("config", payload["config"], _CONFIG_KEYS)
     try:
-        config = PipelineConfig.from_dict(payload["config"])
+        config = PipelineConfig(**payload["config"])
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"config: {exc}") from exc
     _check_keys("stages", payload["stages"], set(STAGE_CLASSES))

@@ -248,7 +248,7 @@ def test_criterion_7_no_leakage_audit(synth300):
         test_ids = {p.id for p in test_posts}
         universe = Corpus(posts=tuple(p for p in synth300 if p.id not in test_ids))
         rebuilt.append(evaluate_fold(universe, test_posts, HEADLINE_CFG))
-    assert aggregate_report(rebuilt, 10) == report
+    assert aggregate_report(rebuilt) == report
     _report(7, "deleting test posts from the universe reproduces every fold bit-identically")
 
 

@@ -522,6 +522,38 @@ def test_negative_seed_fails_with_one_error_line(corpus_file, tmp_path, capsys, 
     assert not out.exists()
 
 
+# each grid's own valid inputs, to which an unused one is added
+GRID_INPUTS = {
+    "table1": [], "table2": ["--stop-words", "{stop}"], "table3": [], "table4": ["--rules", "neg={neg},emp={emp}"],
+}
+UNUSED_INPUTS = [
+    *(
+        pytest.param(["evaluate", "{corpus}", "--folds", "3", "--grid", grid, *GRID_INPUTS[grid], *extra],
+                     f"drop {extra[0]}", id=f"{grid}{extra[0]}")
+        for grid in GRID_INPUTS
+        for extra in (["--stop-words", "{stop}"], ["--rules", "neg={neg},emp={emp}"])
+        if extra[0] not in GRID_INPUTS[grid]
+    ),
+    pytest.param(["train", "{corpus}", "--rules", "neg={neg}"], "--rules needs --rule-mode", id="train--rules"),
+    pytest.param(["evaluate", "{corpus}", "--folds", "3", "--rules", "neg={neg},emp={emp}"],
+                 "--rules needs --rule-mode", id="evaluate--rules"),
+    pytest.param(["stats", "{corpus}", "--by", "topic", "--by-year-month"],
+                 "--by-year-month needs --by month", id="stats--by-year-month"),
+]
+
+
+@pytest.mark.parametrize("argv, hint", UNUSED_INPUTS)
+def test_an_input_that_nothing_reads_fails_with_one_error_line(corpus_file, tmp_path, capsys, argv, hint):
+    # nothing in the run reads the input, so a manifest must not record it as used
+    inputs = {"corpus": corpus_file, "stop": tmp_path / "stop.txt", "neg": tmp_path / "neg.txt",
+              "emp": tmp_path / "emp.txt"}
+    for name, word in (("stop", "и"), ("neg", "nodok"), ("emp", "mnogu")):
+        inputs[name].write_text(word + "\n", encoding="utf-8")
+    rc = main([arg.format(**inputs) for arg in argv] + ["--out", str(tmp_path / "out")])
+    _assert_one_error_line(capsys, rc, hint)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["emp.txt", "neg.txt", "stop.txt"]
+
+
 def test_single_fold_is_rejected(corpus_file, capsys):
     rc = main(["evaluate", str(corpus_file), "--folds", "1"])
     _assert_one_error_line(capsys, rc, "needs k >= 2 folds")

@@ -7,7 +7,7 @@ import os
 import threading
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -100,7 +100,7 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = PipelineConfig(metric="presence", classifier="nb", seed=9)
-        assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+        assert PipelineConfig(**asdict(cfg)) == cfg
 
 
 class TestTrainTwoStage:
@@ -299,10 +299,10 @@ class TestCrossValidateGrid:
         monkeypatch.setattr(pipeline, "train_svm_pair", poisoned)
         posts = generate_corpus(n_posts=60, seed=3).labeled()
         configs = [PipelineConfig(metric=m, min_count=2, svm_epochs=3) for m in ("presence", "count")]
-        rows, labels = pipeline._stage_rows(posts)["subjectivity"]
+        stage_posts, labels = pipeline._stage_rows(posts)["subjectivity"]
         tokens = pipeline._base_token_table(posts, configs, None)
         with pytest.raises(ValueError, match="stage 'subjectivity'.*non-finite"):
-            pipeline._stage_fits("subjectivity", posts, rows, labels, configs, [None, None], tokens, ())
+            pipeline._stage_fits("subjectivity", stage_posts, labels, configs, [None, None], tokens, ())
 
     def test_each_feature_key_builds_one_dictionary_per_stage_and_fold(self, monkeypatch):
         corpus, stop, rules, cells = grid_case()
@@ -594,7 +594,7 @@ class TestNoLeakage:
             test_ids = {p.id for p in test_posts}
             universe = Corpus(posts=tuple(p for p in corpus if p.id not in test_ids))
             rebuilt.append(evaluate_fold(universe, test_posts, cfg, stop_list=stop))
-        assert aggregate_report(rebuilt, k) == report
+        assert aggregate_report(rebuilt) == report
 
     def test_fold_dictionaries_contain_only_training_ngrams(self):
         corpus = generate_corpus(n_posts=60, seed=41)
