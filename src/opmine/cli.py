@@ -19,6 +19,7 @@ from .corpus import CorpusError, Post, load_corpus
 from .features import METRICS, NGRAM_SIZES, RULE_MODE_OFF, RULE_MODES, RuleLexicons
 from .ioutil import atomic_write_text
 from .pipeline import (
+    CLASSIFIER_FIELDS,
     CLASSIFIER_NB,
     CLASSIFIER_SVM,
     CLASSIFIERS,
@@ -120,6 +121,16 @@ def _build_inputs(args) -> tuple[PipelineConfig, Optional[frozenset[str]], Optio
     return config, stop_list, rules, input_paths
 
 
+def _reject_unread_knobs(config: PipelineConfig, also_read: tuple[str, ...] = ()) -> None:
+    """Fail on a classifier knob set off its default that the run's fit does not read."""
+    default = PipelineConfig()
+    read = {*CLASSIFIER_FIELDS[config.classifier], *also_read}
+    for name in (n for names in CLASSIFIER_FIELDS.values() for n in names):
+        if name not in read and getattr(config, name) != getattr(default, name):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"--classifier {config.classifier} does not read {flag}; drop {flag}")
+
+
 def _write_manifest(path: Path, command: str, config_info, inputs: dict, outputs: list[str]) -> None:
     manifest = {
         "tool": "opmine",
@@ -134,6 +145,7 @@ def _write_manifest(path: Path, command: str, config_info, inputs: dict, outputs
 
 def cmd_train(args) -> int:
     config, stop_list, rules, input_paths = _build_inputs(args)
+    _reject_unread_knobs(config)
     # the corpus is not held across save_model, so encoding the model reuses its memory
     model = train_two_stage(load_corpus(args.corpus), config, stop_list, rules)
     out = Path(args.out)
@@ -193,6 +205,8 @@ def cmd_evaluate(args) -> int:
             raise ValueError(f"--grid {args.grid} needs --stop-words for its preprocessing rows")
         if uses_rules and (rules is None or not rules.negatory or not rules.emphasizer):
             raise ValueError(f"--grid {args.grid} needs --rules with both neg= and emp= lexicons")
+    else:
+        _reject_unread_knobs(config, also_read=("seed",))  # the fold plan reads the seed
     corpus = load_corpus(args.corpus)
     input_paths["corpus"] = args.corpus
     stratified = not args.no_stratified

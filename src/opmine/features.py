@@ -8,8 +8,8 @@ Four metrics score a post against a fixed dictionary of m n-grams:
   ifreq_i     = frequency_i * ln(n_docs / doc_freq_i)
 
 where t_i is the (possibly rule-adjusted, hence signed) occurrence count of the
-i-th n-gram in the post. A metric returns the post's sparse vector as a dict
-{i: value} that leaves out zero values.
+i-th n-gram in the post. ``metric_items`` gives the post's sparse vector as
+(i, value) pairs that leave out zero values; ``compute_metric`` as a dict.
 """
 
 from __future__ import annotations
@@ -236,42 +236,39 @@ def extract_counts(
     return count_ngrams(*post_ngrams(tokens, dictionary.ngram_sizes, rules, rule_mode), dictionary)
 
 
-def metric_presence(counts: Mapping[int, int], m: int) -> dict[int, float]:
-    for idx in counts:
-        if not 0 <= idx < m:
-            raise ValueError(f"index {idx} out of range for dictionary size {m}")
-    return {i: 1.0 for i, c in counts.items() if c != 0}
-
-
-def metric_count(counts: Mapping[int, int]) -> dict[int, float]:
-    return {i: float(c) for i, c in counts.items() if c != 0}
-
-
-def metric_frequency(counts: Mapping[int, int]) -> dict[int, float]:
+def metric_items(
+    metric: str, counts: Mapping[int, int], dictionary: FeatureDictionary
+) -> Optional[list[tuple[int, float]]]:
+    """The post's non-zero metric values as (index, value) pairs in counts
+    order; None for a frequency metric whose counts sum to zero."""
+    if metric == METRIC_PRESENCE:
+        m = len(dictionary)
+        for idx in counts:
+            if not 0 <= idx < m:
+                raise ValueError(f"index {idx} out of range for dictionary size {m}")
+        return [(i, 1.0) for i, c in counts.items() if c != 0]
+    if metric == METRIC_COUNT:
+        return [(i, float(c)) for i, c in counts.items() if c != 0]
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
     total = sum(counts.values())
     if total == 0:
-        raise ZeroTotalCountError("total in-dictionary count is zero")
-    return {i: c / total for i, c in counts.items() if c != 0}
-
-
-def metric_ifrequency(counts: Mapping[int, int], dictionary: FeatureDictionary) -> dict[int, float]:
-    values = {}
-    for i, f in metric_frequency(counts).items():
-        idf = math.log(dictionary.n_docs / dictionary.doc_freq[i])
-        if f * idf != 0.0:
-            values[i] = f * idf
-    return values
+        return None
+    if metric == METRIC_FREQUENCY:
+        return [(i, c / total) for i, c in counts.items() if c != 0]
+    n_docs, doc_freq = dictionary.n_docs, dictionary.doc_freq
+    return [
+        (i, v)
+        for i, c in counts.items()
+        if c != 0 and (v := c / total * math.log(n_docs / doc_freq[i])) != 0.0
+    ]
 
 
 def compute_metric(
     metric: str, counts: Mapping[int, int], dictionary: FeatureDictionary
 ) -> dict[int, float]:
-    if metric == METRIC_PRESENCE:
-        return metric_presence(counts, len(dictionary))
-    if metric == METRIC_COUNT:
-        return metric_count(counts)
-    if metric == METRIC_FREQUENCY:
-        return metric_frequency(counts)
-    if metric == METRIC_IFREQUENCY:
-        return metric_ifrequency(counts, dictionary)
-    raise ValueError(f"unknown metric {metric!r}")
+    """The post's metric vector {index: value} (see ``metric_items``)."""
+    items = metric_items(metric, counts, dictionary)
+    if items is None:
+        raise ZeroTotalCountError("total in-dictionary count is zero")
+    return dict(items)

@@ -48,11 +48,10 @@ from .features import (
     RULE_MODES,
     FeatureDictionary,
     RuleLexicons,
-    ZeroTotalCountError,
     build_dictionary,
-    compute_metric,
     count_ngrams,
     extract_counts,
+    metric_items,
     post_ngrams,
     rule_adjusted_tokens,
 )
@@ -180,23 +179,13 @@ def _base_tokens(text: str, config: PipelineConfig, stop_list: Optional[frozense
     return tokens
 
 
-def _raw_metric(
-    metric: str, counts: dict[int, int], dictionary: FeatureDictionary
-) -> Optional[dict[int, float]]:
-    """Metric step shared by both classifiers; None for a zero total count."""
-    try:
-        return compute_metric(metric, counts, dictionary)
-    except ZeroTotalCountError:
-        return None
-
-
 def _classifier_vector(
     raw: Optional[dict[int, float]], config: PipelineConfig, post_id: str
 ) -> dict[int, float]:
-    """The one rule from a metric vector to the vector a stage fits or scores: a
-    zero total count (None) gives the empty vector (logged), and NB keeps only
-    the positive values, as its event model cannot take others (the SVM
-    consumes signed values as-is)."""
+    """The one rule from a metric vector (a dict of ``metric_items``) to the
+    vector a stage fits, and ``_score`` scores: a zero total count (None) gives
+    the empty vector (logged), and NB keeps only the positive values, as its
+    event model cannot take others (the SVM consumes signed values as-is)."""
     if raw is None:
         logger.warning(
             "post %s: zero total in-dictionary count under metric %r; using empty vector",
@@ -218,7 +207,8 @@ def vectorize(
 ) -> dict[int, float]:
     """Counts step, then metric step, for one post's (stemmed) tokens."""
     counts = extract_counts(tokens, dictionary, rules, config.rule_mode)
-    return _classifier_vector(_raw_metric(config.metric, counts, dictionary), config, post_id)
+    items = metric_items(config.metric, counts, dictionary)
+    return _classifier_vector(items if items is None else dict(items), config, post_id)
 
 
 def _stage_rows(posts: Sequence[Post]) -> dict[str, tuple[Sequence[Post], list[str]]]:
@@ -290,9 +280,11 @@ def _svm_args(name: str, labels: list[str], config: PipelineConfig, dictionary: 
     return signs, config.svm_lambda, config.svm_epochs, config.seed, len(dictionary)
 
 
+# the PipelineConfig fields that each classifier's fit reads
+CLASSIFIER_FIELDS = {CLASSIFIER_NB: ("nb_smoothing",), CLASSIFIER_SVM: ("svm_lambda", "svm_epochs", "seed")}
 # PipelineConfig fields read only by the metric, the fit or the fold plan; the
 # other fields form the feature key of the configs that share a stage's features
-_FIT_FIELDS = frozenset({"metric", "classifier", "nb_smoothing", "svm_lambda", "svm_epochs", "seed"})
+_FIT_FIELDS = frozenset({"metric", "classifier"}).union(*CLASSIFIER_FIELDS.values())
 
 
 def _stage_fits(
@@ -303,17 +295,16 @@ def _stage_fits(
     scoped: Sequence[Optional[RuleLexicons]],
     tokens: dict[bool, dict[str, list[str]]],
     test_posts: Sequence[Post],
-) -> list[tuple[StageModel, list[Optional[dict[int, float]]]]]:
+) -> list[tuple[StageModel, list[Optional[list[tuple[int, float]]]]]]:
     """One stage of each config, in config order: the stage fitted on
-    train_posts and their labels, and the raw metric vectors of test_posts
-    (None: zero total count).
+    train_posts and their labels, and the ``metric_items`` of test_posts.
 
     tokens maps each stop-word setting to post text -> base tokens. The configs
     are fitted one feature key at a time: they share the trie and dictionary
-    built from train_posts, and each post is counted once per key and its vector
-    computed once per metric that configs of that key use, so no counts are
-    kept. A key's SVM configs with equal (svm_lambda, svm_epochs, seed) are
-    fitted two at a time, in config order, by train_svm_pair.
+    built from train_posts, and each post is counted once per key and its
+    metric items computed once per metric that configs of that key use, so no
+    counts are kept. A key's SVM configs with equal (svm_lambda, svm_epochs,
+    seed) are fitted two at a time, in config order, by train_svm_pair.
     """
     keys = [tuple(getattr(c, f.name) for f in fields(c) if f.name not in _FIT_FIELDS) for c in configs]
     n = len(train_posts)
@@ -335,10 +326,12 @@ def _stage_fits(
             config.min_count,
         )
         raw: dict[str, list] = {c.metric: [] for c in members.values()}
-        for seq in seqs:
+        for k, seq in enumerate(seqs):
             counts = extract_counts(seq, dictionary, rules, config.rule_mode)
             for metric, column in raw.items():
-                column.append(_raw_metric(metric, counts, dictionary))
+                items = metric_items(metric, counts, dictionary)
+                # a training post's dict is shared by the metric's SVM configs
+                column.append(dict(items) if items is not None and k < n else items)
         vectors = {
             pos: [_classifier_vector(v, c, p.id) for v, p in zip(raw[c.metric], train_posts)]
             for pos, c in members.items()
@@ -424,14 +417,20 @@ def train_two_stage(
     )
 
 
-def _score(stage: StageModel, vec: dict[int, float]) -> tuple[str, float]:
-    """Score step: the stage's label and score for one ``_classifier_vector``."""
-    # accumulate in the vector's order, as predict_nb/predict_svm do, so the
-    # scores are bit-identical to theirs (a numpy dot would reorder the sum)
+def _score(
+    stage: StageModel, items: Optional[list[tuple[int, float]]], config: PipelineConfig, post_id: str
+) -> tuple[str, float]:
+    """Score step: the stage's label and score for a post's ``metric_items``,
+    under the rule of ``_classifier_vector``."""
+    if items is None:
+        items = _classifier_vector(None, config, post_id).items()  # empty, and logged
+    # accumulate in counts order, as predict_nb/predict_svm do over the vector,
+    # so the scores are bit-identical to theirs (a numpy dot would reorder the sum)
     score = stage.bias
-    weights = stage.weight_list
-    for idx, val in vec.items():
-        score += val * weights[idx]
+    weights, signed = stage.weight_list, config.classifier != CLASSIFIER_NB
+    for idx, val in items:
+        if val > 0 or signed:
+            score += val * weights[idx]
     return decide(score, stage.classes, stage.class_counts), score
 
 
@@ -448,8 +447,8 @@ def _predict_stage(
     if grams is None:
         stage_tokens = stem_tokens(stage.stem_trie, tokens) if stage.stem_trie else tokens
         grams = post_ngrams(stage_tokens, stage.dictionary.ngram_sizes, rules, config.rule_mode)
-    raw = _raw_metric(config.metric, count_ngrams(*grams, stage.dictionary), stage.dictionary)
-    return _score(stage, _classifier_vector(raw, config, post_id))
+    items = metric_items(config.metric, count_ngrams(*grams, stage.dictionary), stage.dictionary)
+    return _score(stage, items, config, post_id)
 
 
 def classify_post(model: TwoStageModel, text: str, post_id: str = "?") -> PostClassification:
@@ -563,8 +562,8 @@ def _evaluate_configs(
     for subjectivity, polarity, config in zip(*stage_fits, configs):
 
         def label_of(fit: tuple[StageModel, list], i: int) -> str:
-            stage, raw = fit
-            return _score(stage, _classifier_vector(raw[i], config, test_posts[i].id))[0]
+            stage, items = fit
+            return _score(stage, items[i], config, test_posts[i].id)[0]
 
         pol_correct = pol_total = 0
         confusion = {g: {p: 0 for p in GOLD_LABELS} for g in GOLD_LABELS}

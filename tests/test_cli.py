@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from opmine import cli, pipeline
 from opmine.cli import main
 from opmine.corpus import load_corpus, save_corpus
-from opmine.pipeline import classify_post, load_model
+from opmine.pipeline import PipelineConfig, classify_post, load_model
 from opmine.synthetic import generate_corpus
 
 from conftest import assert_no_child_processes, write_jsonl
@@ -32,7 +33,7 @@ def model_file(tmp_path_factory, corpus_file):
     out = tmp_path_factory.mktemp("model") / "model.json"
     rc = main(
         ["train", str(corpus_file), "--out", str(out), "--metric", "presence",
-         "--classifier", "nb", "--min-count", "2", "--seed", "5"]
+         "--classifier", "nb", "--min-count", "2"]
     )
     assert rc == 0
     return out
@@ -45,7 +46,7 @@ class TestTrain:
             model_file.with_name(model_file.name + ".manifest.json").read_text(encoding="utf-8")
         )
         assert manifest["command"] == "train"
-        assert manifest["config"]["seed"] == 5
+        assert manifest["config"] == asdict(PipelineConfig(metric="presence", classifier="nb", min_count=2))
         assert manifest["outputs"] == [str(model_file)]
 
     def test_rerun_is_byte_identical(self, tmp_path, corpus_file):
@@ -143,7 +144,7 @@ def ifrequency_model_file(tmp_path_factory, corpus_file):
     out = tmp_path_factory.mktemp("ifrequency-model") / "model.json"
     rc = main(
         ["train", str(corpus_file), "--out", str(out), "--metric", "ifrequency",
-         "--classifier", "nb", "--min-count", "2", "--seed", "5"]
+         "--classifier", "nb", "--min-count", "2"]
     )
     assert rc == 0
     return out
@@ -539,6 +540,20 @@ UNUSED_INPUTS = [
                  "--rules needs --rule-mode", id="evaluate--rules"),
     pytest.param(["stats", "{corpus}", "--by", "topic", "--by-year-month"],
                  "--by-year-month needs --by month", id="stats--by-year-month"),
+    # a classifier knob that the fit does not read, rejected before the (missing) corpus is read
+    *(
+        pytest.param([command, "{missing}", "--classifier", clf, flag, value],
+                     f"--classifier {clf} does not read {flag}", id=f"{command}-{clf}{flag}")
+        for command, clf, flag, value in [
+            ("train", "nb", "--svm-lambda", "5"),
+            ("train", "nb", "--svm-epochs", "3"),
+            ("train", "nb", "--seed", "9"),
+            ("train", "svm", "--nb-smoothing", "0.25"),
+            ("evaluate", "nb", "--svm-lambda", "5"),
+            ("evaluate", "nb", "--svm-epochs", "3"),
+            ("evaluate", "svm", "--nb-smoothing", "0.5"),
+        ]
+    ),
 ]
 
 
@@ -549,9 +564,17 @@ def test_an_input_that_nothing_reads_fails_with_one_error_line(corpus_file, tmp_
               "emp": tmp_path / "emp.txt"}
     for name, word in (("stop", "и"), ("neg", "nodok"), ("emp", "mnogu")):
         inputs[name].write_text(word + "\n", encoding="utf-8")
+    inputs["missing"] = tmp_path / "missing.jsonl"
     rc = main([arg.format(**inputs) for arg in argv] + ["--out", str(tmp_path / "out")])
     _assert_one_error_line(capsys, rc, hint)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["emp.txt", "neg.txt", "stop.txt"]
+
+
+def test_evaluate_nb_accepts_the_seed_that_its_fold_plan_reads(corpus_file, tmp_path):
+    out = tmp_path / "nb.json"
+    rc = main(["evaluate", str(corpus_file), "--folds", "3", "--min-count", "2", "--classifier", "nb",
+               "--seed", "9", "--out", str(out)])
+    assert rc == 0 and out.exists()
 
 
 def test_single_fold_is_rejected(corpus_file, capsys):

@@ -14,10 +14,7 @@ from opmine.features import (
     build_dictionary,
     compute_metric,
     extract_counts,
-    metric_count,
-    metric_frequency,
-    metric_ifrequency,
-    metric_presence,
+    metric_items,
     rule_adjusted_tokens,
 )
 
@@ -140,51 +137,58 @@ def _dict_with(doc_freq, n_docs):
     )
 
 
+def _sized(m):
+    """A dictionary of m entries, for the metrics that read only its size."""
+    return _dict_with(doc_freq=[1] * m, n_docs=1)
+
+
 class TestMetrics:
     def test_presence(self):
-        vec = metric_presence({3: 2, 7: 1}, m=10)
+        vec = compute_metric("presence", {3: 2, 7: 1}, _sized(10))
         assert vec == {3: 1.0, 7: 1.0}
 
     def test_presence_empty(self):
-        assert metric_presence({}, m=4) == {}
+        assert compute_metric("presence", {}, _sized(4)) == {}
 
     def test_presence_of_signed_count(self):
-        assert metric_presence({5: -1}, m=6) == {5: 1.0}
+        assert compute_metric("presence", {5: -1}, _sized(6)) == {5: 1.0}
 
     def test_count_identity(self):
-        assert metric_count({3: 2}) == {3: 2.0}
-        assert metric_count({}) == {}
-        assert metric_count({5: -1}) == {5: -1.0}
+        assert compute_metric("count", {3: 2}, _sized(4)) == {3: 2.0}
+        assert compute_metric("count", {}, _sized(4)) == {}
+        assert compute_metric("count", {5: -1}, _sized(6)) == {5: -1.0}
 
     def test_frequency(self):
-        vec = metric_frequency({1: 2, 2: 1, 3: 1})
+        vec = compute_metric("frequency", {1: 2, 2: 1, 3: 1}, _sized(4))
         assert vec == {1: 0.5, 2: 0.25, 3: 0.25}
 
     def test_frequency_single_feature(self):
-        assert metric_frequency({1: 5}) == {1: 1.0}
+        assert compute_metric("frequency", {1: 5}, _sized(2)) == {1: 1.0}
 
     def test_frequency_zero_denominator(self):
-        with pytest.raises(ZeroTotalCountError):
-            metric_frequency({1: 1, 2: -1})
+        for metric in ("frequency", "ifrequency"):
+            assert metric_items(metric, {1: 1, 2: -1}, _sized(3)) is None
+            with pytest.raises(ZeroTotalCountError):
+                compute_metric(metric, {1: 1, 2: -1}, _sized(3))
 
     def test_ifrequency_hand_value(self):
         # freq = 0.5 with n_docs/doc_freq = 10 gives 0.5 * ln(10)
         d = _dict_with(doc_freq=[10, 100], n_docs=100)
-        vec = metric_ifrequency({0: 1, 1: 1}, d)
+        vec = compute_metric("ifrequency", {0: 1, 1: 1}, d)
         assert vec[0] == pytest.approx(1.151292546497023, abs=1e-12)
 
     def test_ifrequency_full_document_frequency_vanishes(self):
         d = _dict_with(doc_freq=[10, 100], n_docs=100)
-        vec = metric_ifrequency({0: 1, 1: 1}, d)
+        vec = compute_metric("ifrequency", {0: 1, 1: 1}, d)
         assert 1 not in vec  # ln(100/100) = 0, zero never stored
 
     def test_ifrequency_single_doc_corpus_all_zero(self):
         d = _dict_with(doc_freq=[1, 1], n_docs=1)
-        assert metric_ifrequency({0: 3, 1: 1}, d) == {}
+        assert compute_metric("ifrequency", {0: 3, 1: 1}, d) == {}
 
     def test_presence_index_bounds(self):
         with pytest.raises(ValueError, match="out of range"):
-            metric_presence({9: 1}, m=3)
+            compute_metric("presence", {9: 1}, _sized(3))
 
 
 counts_strategy = st.dictionaries(
@@ -197,7 +201,7 @@ counts_strategy = st.dictionaries(
 def test_frequency_sums_to_one_for_nonnegative_counts(counts):
     if not counts:
         return
-    vec = metric_frequency(counts)
+    vec = compute_metric("frequency", counts, _sized(10))
     assert sum(vec.values()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -205,7 +209,7 @@ def test_frequency_sums_to_one_for_nonnegative_counts(counts):
 @given(counts_strategy, st.integers(min_value=2, max_value=5))
 def test_presence_invariant_under_count_scaling(counts, factor):
     scaled = {i: c * factor for i, c in counts.items()}
-    assert metric_presence(counts, m=10) == metric_presence(scaled, m=10)
+    assert compute_metric("presence", counts, _sized(10)) == compute_metric("presence", scaled, _sized(10))
 
 
 # --- brute-force recount oracle -------------------------------------------

@@ -4,6 +4,9 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from collections import Counter
@@ -11,18 +14,24 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opmine import classify, pipeline
 from opmine.classify import SVMModel, predict_nb, predict_svm
-from opmine.corpus import GOLD_LABELS, Corpus, CorpusError, Post, split_folds
-from opmine.features import METRICS, RuleLexicons
+from opmine.corpus import GOLD_LABELS, Corpus, CorpusError, Post, save_corpus, split_folds
+from opmine.features import METRICS, FeatureDictionary, RuleLexicons, metric_items
 from opmine.pipeline import (
+    CLASSIFIERS,
     GRID_NAMES,
     STAGE_CLASSES,
     SVM_LAMBDA_MAX,
     ModelFormatError,
     PipelineConfig,
+    StageModel,
+    _classifier_vector,
     _predict_stage,
+    _score,
     aggregate_report,
     classify_post,
     cross_validate,
@@ -37,6 +46,7 @@ from opmine.pipeline import (
 from opmine.preprocess import tokenize
 from opmine.synthetic import generate_corpus
 
+import metric_oracle
 from conftest import assert_no_child_processes
 from svm_oracle import train_svm_dense
 from synthetic_helpers import rule_lexicons
@@ -255,7 +265,7 @@ class TestCrossValidateGrid:
         configs = [cell.config for cell in cells if cell.table == "table1"]
         # one feature key, 4 metrics, 2 classifiers
         assert len(configs) == 8 and len({c.metric for c in configs}) == 4
-        calls = count_calls(monkeypatch, "extract_counts", "compute_metric")
+        calls = count_calls(monkeypatch, "extract_counts", "metric_items")
         force_workers(monkeypatch, 1)
         k = 3
         cross_validate_grid(corpus, configs, k=k, stop_list=stop, rules=rules)
@@ -265,7 +275,7 @@ class TestCrossValidateGrid:
         # stages count it there; it trains stage 1 in the other k - 1 folds,
         # and stage 2 as well when it is polar
         assert calls["extract_counts"] == 2 * len(labeled) + (k - 1) * (len(labeled) + polar)
-        assert calls["compute_metric"] == 4 * calls["extract_counts"]
+        assert calls["metric_items"] == 4 * calls["extract_counts"]
 
     def test_svm_cells_of_a_key_share_one_fit_pass(self, monkeypatch):
         corpus, stop, rules, cells = grid_case()
@@ -505,6 +515,34 @@ class TestPooledTrain:
         assert outcome == ("ok", 1, expected)
         assert proc.exitcode == 0
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+    def test_the_import_and_every_fork_of_train_run_on_one_os_thread(self, tmp_path):
+        # numpy's BLAS pool would be a second thread; opmine caps it before numpy is imported
+        save_corpus(generate_corpus(n_posts=60, seed=3), tmp_path / "corpus.jsonl")
+        script = textwrap.dedent("""
+            import json, os, sys
+            import opmine.cli
+            threads = [len(os.listdir("/proc/self/task"))]
+            from opmine import cli, pipeline
+            pipeline._fold_workers = lambda k: min(k, 2)  # fork on one CPU too
+            real_fork = os.fork
+            def fork():
+                threads.append(len(os.listdir("/proc/self/task")))
+                return real_fork()
+            os.fork = fork
+            rc = cli.main(["train", sys.argv[1], "--out", sys.argv[2], "--min-count", "2", "--svm-epochs", "2"])
+            print(json.dumps([rc, threads]))
+        """)
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(pipeline.__file__))  # this opmine's src/
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "corpus.jsonl"), str(tmp_path / "m.json")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        # the import, then one fork per stage
+        assert json.loads(done.stdout) == [0, [1, 1, 1]]
+
 
 def square_or_die(i, caller=os.getpid()):
     if i == 1:
@@ -655,6 +693,37 @@ class TestOneVectorRule:
         for got, want in classify_post_confusions(corpus, cfg, extra=[unseen]):
             assert got == want
         assert "post unseen: zero total in-dictionary count" in caplog.text
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        # signed counts with zero entries, whose totals are often zero
+        counts=st.dictionaries(st.integers(0, 7), st.integers(-3, 3), max_size=8),
+        doc_freq=st.lists(st.integers(1, 5), min_size=8, max_size=8),
+        extra_docs=st.integers(0, 2),  # 0: the most frequent n-gram's idf is 0
+        weights=st.lists(st.floats(-4, 4, allow_nan=False), min_size=8, max_size=8),
+        bias=st.floats(-2, 2, allow_nan=False),
+        metric=st.sampled_from(METRICS),
+        clf=st.sampled_from(CLASSIFIERS),
+    )
+    def test_fit_vector_and_score_equal_the_dict_chain_bit_for_bit(
+        self, counts, doc_freq, extra_docs, weights, bias, metric, clf
+    ):
+        dictionary = FeatureDictionary(
+            entries={f"w{i}": i for i in range(8)},
+            doc_freq=tuple(doc_freq),
+            n_docs=max(doc_freq) + extra_docs,
+            ngram_sizes=(1,),
+        )
+        cfg = PipelineConfig(metric=metric, classifier=clf)
+        items = metric_items(metric, counts, dictionary)
+        want = metric_oracle.classifier_vector(metric_oracle.metric_vector(metric, counts, dictionary), clf)
+        got = _classifier_vector(items if items is None else dict(items), cfg, "p")
+        assert [(i, v.hex()) for i, v in got.items()] == [(i, v.hex()) for i, v in want.items()]
+        stage = StageModel(
+            classes=("a", "b"), dictionary=dictionary, weights=np.array(weights), bias=bias, class_counts=(1, 1)
+        )
+        _, score = _score(stage, items, cfg, "p")
+        assert score.hex() == metric_oracle.score(bias, weights, want).hex()
 
 
 class TestGrids:
