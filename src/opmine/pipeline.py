@@ -225,61 +225,6 @@ def _stage_rows(posts: Sequence[Post]) -> dict[str, tuple[Sequence[Post], list[s
     }
 
 
-def _fit_stage(
-    name: str,
-    trie: Optional[SuffixTrie],
-    dictionary: FeatureDictionary,
-    vectors: list[dict[int, float]],
-    labels: list[str],
-    config: PipelineConfig,
-    svm: Optional[SVMModel] = None,
-) -> StageModel:
-    """Fit step: NB or SVM on the metric vectors, reduced to one linear scorer.
-
-    svm, when given, is the config's SVM fitted already (one of a pair).
-    A fit that overflowed to non-finite weights or bias raises ValueError.
-    """
-    classes = STAGE_CLASSES[name]
-    if config.classifier == CLASSIFIER_NB:
-        # the log-posterior margin is linear in x (see predict_nb)
-        nb = train_nb(
-            vectors,
-            labels,
-            smoothing=config.nb_smoothing,
-            vocab_size=len(dictionary),
-            classes=classes,
-        )
-        pos, neg = classes
-        weights = nb.feature_log_likelihood[pos] - nb.feature_log_likelihood[neg]
-        bias = nb.class_log_prior[pos] - nb.class_log_prior[neg]
-        counts = (nb.class_counts[pos], nb.class_counts[neg])
-    else:
-        if svm is None:
-            svm = train_svm(vectors, *_svm_args(name, labels, config, dictionary))
-        weights, bias, counts = svm.weights, svm.bias, (svm.n_pos, svm.n_neg)
-    if not (np.isfinite(weights).all() and math.isfinite(bias)):
-        knob = "nb_smoothing" if config.classifier == CLASSIFIER_NB else "svm_lambda"
-        raise ValueError(
-            f"stage {name!r}: the {config.classifier} fit gave non-finite weights or bias "
-            f"({knob}={getattr(config, knob)})"
-        )
-    return StageModel(
-        classes=classes,
-        dictionary=dictionary,
-        weights=weights,
-        bias=bias,
-        class_counts=counts,
-        stem_trie=trie,
-    )
-
-
-def _svm_args(name: str, labels: list[str], config: PipelineConfig, dictionary: FeatureDictionary) -> tuple:
-    """The arguments after the vectors of a stage's train_svm (or train_svm_pair)
-    call: labels as +1/-1, lambda_, epochs, seed and vocab_size."""
-    signs = [1 if lab == STAGE_CLASSES[name][0] else -1 for lab in labels]
-    return signs, config.svm_lambda, config.svm_epochs, config.seed, len(dictionary)
-
-
 # the PipelineConfig fields that each classifier's fit reads
 CLASSIFIER_FIELDS = {CLASSIFIER_NB: ("nb_smoothing",), CLASSIFIER_SVM: ("svm_lambda", "svm_epochs", "seed")}
 # PipelineConfig fields read only by the metric, the fit or the fold plan; the
@@ -304,10 +249,15 @@ def _stage_fits(
     built from train_posts, and each post is counted once per key and its
     metric items computed once per metric that configs of that key use, so no
     counts are kept. A key's SVM configs with equal (svm_lambda, svm_epochs,
-    seed) are fitted two at a time, in config order, by train_svm_pair.
+    seed) are fitted two at a time, in config order, by train_svm_pair, and an
+    odd last one by train_svm. Each fit, NB or SVM, reduces to the linear
+    scorer of a StageModel. A fit that overflowed to non-finite weights or bias
+    raises ValueError.
     """
     keys = [tuple(getattr(c, f.name) for f in fields(c) if f.name not in _FIT_FIELDS) for c in configs]
     n = len(train_posts)
+    positive, negative = classes = STAGE_CLASSES[name]
+    signs = [1 if lab == positive else -1 for lab in labels]
     fits: list = [None] * len(configs)
     for key in dict.fromkeys(keys):
         members = {pos: c for pos, (k, c) in enumerate(zip(keys, configs)) if k == key}
@@ -341,13 +291,37 @@ def _stage_fits(
             if c.classifier == CLASSIFIER_SVM:
                 groups.setdefault((c.svm_lambda, c.svm_epochs, c.seed), []).append(pos)
         svms: dict[int, SVMModel] = {}
-        with np.errstate(all="ignore"):  # an overflow is an error in _fit_stage, not a warning
-            for group in groups.values():
+        with np.errstate(all="ignore"):  # an overflow is an error below, not a warning
+            for (lambda_, epochs, seed), group in groups.items():
+                args = signs, lambda_, epochs, seed, len(dictionary)
                 for i, j in zip(group[::2], group[1::2]):
-                    args = _svm_args(name, labels, configs[i], dictionary)
                     svms[i], svms[j] = train_svm_pair(vectors[i], vectors[j], *args)
+                if len(group) % 2:
+                    svms[group[-1]] = train_svm(vectors[group[-1]], *args)
             for pos, c in members.items():
-                stage = _fit_stage(name, trie, dictionary, vectors[pos], labels, c, svms.get(pos))
+                if c.classifier == CLASSIFIER_NB:
+                    # the log-posterior margin is linear in x (see predict_nb)
+                    nb = train_nb(vectors[pos], labels, c.nb_smoothing, len(dictionary), classes)
+                    weights = nb.feature_log_likelihood[positive] - nb.feature_log_likelihood[negative]
+                    bias = nb.class_log_prior[positive] - nb.class_log_prior[negative]
+                    counts = (nb.class_counts[positive], nb.class_counts[negative])
+                else:
+                    svm = svms[pos]
+                    weights, bias, counts = svm.weights, svm.bias, (svm.n_pos, svm.n_neg)
+                if not (np.isfinite(weights).all() and math.isfinite(bias)):
+                    knob = CLASSIFIER_FIELDS[c.classifier][0]
+                    raise ValueError(
+                        f"stage {name!r}: the {c.classifier} fit gave non-finite weights or bias "
+                        f"({knob}={getattr(c, knob)})"
+                    )
+                stage = StageModel(
+                    classes=classes,
+                    dictionary=dictionary,
+                    weights=weights,
+                    bias=bias,
+                    class_counts=counts,
+                    stem_trie=trie,
+                )
                 fits[pos] = stage, raw[c.metric][n:]
     return fits
 

@@ -6,8 +6,10 @@ import io
 import json
 import logging
 import os
+import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -687,6 +689,31 @@ class TestEvaluate:
         )
         assert rc != 0
         assert "emp=" in capsys.readouterr().err
+
+    # sha256 of each grid report of scripts/run_grid_demo.py --n-posts 90, recorded
+    # with Python 3.11.7 and numpy 2.4.6. The reports hold count ratios, confusion
+    # matrices and configs, not raw floats, so they pin every cell's labels
+    GRID_DEMO_DIGESTS = {
+        "table1": "fb619c960a0cbb6f01eb684a2073cbfc3d3b847edfaa7058b8043c8317a462f9",
+        "table2": "90aea3c1933da040fe3ea98127cc8a6f4c6bb663975ed821dfa177a87dc61958",
+        "table3": "6ea452a2de28c88145ae5c06cb566e403b3f5232afd6494ea29e3db1f28bbd65",
+        "table4": "0b47df705f78d117d119e5618914ec45bea18054bba75afb8a73795d609b6a1e",
+    }
+
+    def test_grid_demo_reports_match_their_recorded_digests(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_grid_demo.py"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pipeline.__file__)))
+        done = subprocess.run(
+            [sys.executable, str(script), "--n-posts", "90", "--grids", *self.GRID_DEMO_DIGESTS,
+             "--out-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        digests = {
+            table: hashlib.sha256((tmp_path / table / f"grid_{table}.json").read_bytes()).hexdigest()
+            for table in self.GRID_DEMO_DIGESTS
+        }
+        assert digests == self.GRID_DEMO_DIGESTS
 
 
 class TestStats:

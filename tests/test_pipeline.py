@@ -289,6 +289,15 @@ class TestCrossValidateGrid:
         calls.clear()
         train_two_stage(corpus, configs[1], stop_list=stop, rules=rules)
         assert calls == {"train_svm": 2}
+        # one key, two lambdas: the two cells at 0.01 make a pair, the cell at 0.1 is fitted alone
+        odd = [
+            PipelineConfig(metric=m, svm_lambda=lam, svm_epochs=3, seed=5)
+            for m, lam in (("presence", 0.01), ("count", 0.1), ("frequency", 0.01))
+        ]
+        calls.clear()
+        reports = cross_validate_grid(corpus, odd, k=k)
+        assert calls == {"train_svm_pair": 2 * k, "train_svm": 2 * k}
+        assert reports == [cross_validate(corpus, config, k=k) for config in odd]
 
     def test_svm_cells_whose_indices_differ_are_fitted_alone(self, monkeypatch):
         # "zz" is in every post, so its idf is 0 and ifrequency drops it while presence keeps it
@@ -516,31 +525,45 @@ class TestPooledTrain:
         assert proc.exitcode == 0
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
-    def test_the_import_and_every_fork_of_train_run_on_one_os_thread(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["train", "{corpus}", "--out", "{tmp}/m.json", "--min-count", "2", "--svm-epochs", "2"],
+            ["evaluate", "{corpus}", "--grid", "table1", "--folds", "3", "--svm-epochs", "2", "--out", "{tmp}/r"],
+            ["classify", "--model", "{tmp}/model.json", "--input", "{corpus}"],
+        ],
+        ids=["train", "evaluate-grid", "classify-input"],
+    )
+    def test_the_import_and_every_fork_of_train_run_on_one_os_thread(self, tmp_path, command):
         # numpy's BLAS pool would be a second thread; opmine caps it before numpy is imported
-        save_corpus(generate_corpus(n_posts=60, seed=3), tmp_path / "corpus.jsonl")
+        corpus = generate_corpus(n_posts=60, seed=3)
+        save_corpus(corpus, tmp_path / "corpus.jsonl")
+        save_model(train_two_stage(corpus, PipelineConfig(min_count=2, svm_epochs=2)), tmp_path / "model.json")
+        argv = [a.format(corpus=tmp_path / "corpus.jsonl", tmp=tmp_path) for a in command]
         script = textwrap.dedent("""
-            import json, os, sys
+            import contextlib, json, os, sys
             import opmine.cli
             threads = [len(os.listdir("/proc/self/task"))]
             from opmine import cli, pipeline
             pipeline._fold_workers = lambda k: min(k, 2)  # fork on one CPU too
+            cli.CLASSIFY_CHUNK = 20  # so that classify's 60 posts make 3 worker calls
             real_fork = os.fork
             def fork():
                 threads.append(len(os.listdir("/proc/self/task")))
                 return real_fork()
             os.fork = fork
-            rc = cli.main(["train", sys.argv[1], "--out", sys.argv[2], "--min-count", "2", "--svm-epochs", "2"])
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                rc = cli.main(json.loads(sys.argv[1]))
             print(json.dumps([rc, threads]))
         """)
         env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(pipeline.__file__))  # this opmine's src/
         done = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "corpus.jsonl"), str(tmp_path / "m.json")],
+            [sys.executable, "-c", script, json.dumps(argv)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        # the import, then one fork per stage
+        # the import, then one fork per worker: two stages, or two of the folds' or chunks' workers
         assert json.loads(done.stdout) == [0, [1, 1, 1]]
 
 
