@@ -10,7 +10,7 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional
 
@@ -31,9 +31,9 @@ from .pipeline import (
     GridCell,
     ModelFormatError,
     PipelineConfig,
+    _checked_rules,
     _fork_map,
     classify_post,
-    cross_validate,
     cross_validate_grid,
     grid_cells,
     load_model,
@@ -46,13 +46,10 @@ from .stats import emit_report, mood_by_month, mood_by_topic
 CLASSIFY_CHUNK = 2000  # posts per worker call of classify --input, which builds their lines
 
 
-def _parse_rules_spec(spec: str) -> tuple[RuleLexicons, str, dict]:
-    """Parse ``--rules neg=FILE,emp=FILE`` (either key optional, not neither).
-
-    The rule scope follows from which lexicons are given.
-    """
+def _rule_paths(spec: Optional[str]) -> dict[str, str]:
+    """The lexicon paths of ``--rules neg=FILE,emp=FILE`` (either key optional, not neither)."""
     paths: dict[str, str] = {}
-    for part in spec.split(","):
+    for part in spec.split(",") if spec is not None else ():
         if "=" not in part:
             raise ValueError(f"bad --rules entry {part!r}; expected neg=FILE or emp=FILE")
         key, _, value = part.partition("=")
@@ -61,19 +58,11 @@ def _parse_rules_spec(spec: str) -> tuple[RuleLexicons, str, dict]:
         if key in paths:
             raise ValueError(f"--rules key {key!r} given more than once")
         paths[key] = value
-    if not paths:
-        raise ValueError("empty --rules specification")
-    lexicons = RuleLexicons(
-        negatory=load_word_list(paths["neg"]) if "neg" in paths else frozenset(),
-        emphasizer=load_word_list(paths["emp"]) if "emp" in paths else frozenset(),
-    )
-    if "neg" in paths and "emp" in paths:
-        scope = RULE_SCOPE_BOTH
-    elif "neg" in paths:
-        scope = RULE_SCOPE_NEGATION
-    else:
-        scope = RULE_SCOPE_EMPHASIS
-    return lexicons, scope, paths
+    return paths
+
+
+# the --rules keys of the lexicons that each rule scope reads; the keys given set the scope
+_SCOPE_KEYS = {RULE_SCOPE_BOTH: ("neg", "emp"), RULE_SCOPE_NEGATION: ("neg",), RULE_SCOPE_EMPHASIS: ("emp",)}
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -84,7 +73,8 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rule-mode", choices=RULE_MODES, default=default.rule_mode)
     parser.add_argument("--rules", metavar="neg=FILE,emp=FILE", help="rule lexicon files")
     parser.add_argument("--stop-words", metavar="FILE", help="stop list; enables stop-word removal")
-    parser.add_argument("--stem", action="store_true", help="enable successor-variety stemming")
+    parser.add_argument("--stem", action="store_true", dest="stemming",
+                        help="enable successor-variety stemming")
     parser.add_argument("--min-count", type=int, default=default.min_count, metavar="N")
     parser.add_argument("--seed", type=int, default=default.seed, metavar="N")
     parser.add_argument("--nb-smoothing", type=float, default=default.nb_smoothing, metavar="A")
@@ -92,72 +82,127 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--svm-epochs", type=int, default=default.svm_epochs, metavar="E")
 
 
-def _build_inputs(args) -> tuple[PipelineConfig, Optional[frozenset[str]], Optional[RuleLexicons], dict]:
-    stop_list = load_word_list(args.stop_words) if args.stop_words else None
-    rules = scope = None
-    rule_paths: dict = {}
-    if args.rules:
-        rules, scope, rule_paths = _parse_rules_spec(args.rules)
-    if args.rule_mode != RULE_MODE_OFF and rules is None:
-        raise ValueError(f"--rule-mode {args.rule_mode} requires --rules")
-    # a grid sets each cell's rule mode itself; train has no --grid
-    if rules is not None and args.rule_mode == RULE_MODE_OFF and not getattr(args, "grid", None):
-        raise ValueError("--rules needs --rule-mode tag or signed-count; without it no rule applies")
-    config = PipelineConfig(
-        metric=args.metric,
-        classifier=args.classifier,
-        ngrams=args.ngrams,
-        rule_mode=args.rule_mode,
-        rule_scope=scope or RULE_SCOPE_BOTH,
-        stop_words=args.stop_words is not None,
-        stemming=args.stem,
-        min_count=args.min_count,
-        nb_smoothing=args.nb_smoothing,
-        svm_lambda=args.svm_lambda,
-        svm_epochs=args.svm_epochs,
-        seed=args.seed,
+# the options above, each named after the PipelineConfig field it sets, and --rules
+_CONFIG_DESTS = {f.name for f in fields(PipelineConfig)} | {"rules"}
+
+
+def _config(args) -> PipelineConfig:
+    keys = set(_rule_paths(args.rules))
+    named = {name: getattr(args, name) for name in _CONFIG_DESTS - {"rules", "rule_scope", "stop_words"}}
+    return PipelineConfig(
+        **named, stop_words=args.stop_words is not None,
+        rule_scope=next((scope for scope, k in _SCOPE_KEYS.items() if set(k) == keys), RULE_SCOPE_BOTH),
     )
-    input_paths = {"stop_words": args.stop_words, "rules": rule_paths or None}
-    return config, stop_list, rules, input_paths
 
 
-def _reject_unread_knobs(config: PipelineConfig, also_read: tuple[str, ...] = ()) -> None:
-    """Fail on a classifier knob set off its default that the run's fit does not read."""
-    default = PipelineConfig()
-    read = {*CLASSIFIER_FIELDS[config.classifier], *also_read}
-    for name in (n for names in CLASSIFIER_FIELDS.values() for n in names):
-        if name not in read and getattr(config, name) != getattr(default, name):
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"--classifier {config.classifier} does not read {flag}; drop {flag}")
+def _run_configs(args) -> list[PipelineConfig]:
+    grid = getattr(args, "grid", None)
+    return [cell.config for cell in grid_cells(grid, _config(args))] if grid else [_config(args)]
 
 
-def _write_manifest(path: Path, command: str, config_info, inputs: dict, outputs: list[str]) -> None:
+def _with(args, dest: str, value) -> argparse.Namespace:
+    return argparse.Namespace(**{**vars(args), dest: value})
+
+
+def _reads(args, words: dict[str, frozenset[str]]) -> frozenset:
+    """What a run reads: each option outside the configs (stats's --by-year-month
+    only with --by month), and of each config it runs every field but the other
+    classifier's knobs, the seed only for an SVM fit or evaluate's fold plan,
+    the stop list (words of the path given) only where stop_words is set, and
+    the rule scope and its lexicons only where rule_mode is not off."""
+    own = {k: v for k, v in vars(args).items() if k not in _CONFIG_DESTS}
+    if args.command == "stats":
+        own = {k: v for k, v in own.items() if k != "by_year_month" or args.by == "month"}
+        return frozenset([frozenset(own.items())])
+    paths, runs = _rule_paths(args.rules), set()
+    for config in _run_configs(args):
+        unread = {n for clf, names in CLASSIFIER_FIELDS.items() if clf != config.classifier for n in names}
+        if args.command == "evaluate":  # its fold plan reads the seed
+            unread.discard("seed")
+        read = [(f.name, getattr(config, f.name)) for f in fields(config) if f.name not in unread]
+        if config.stop_words:
+            read.append(("--stop-words FILE", words.get(args.stop_words)))
+        if config.rule_mode == RULE_MODE_OFF:
+            read.remove(("rule_scope", config.rule_scope))
+        else:
+            read += [(f"--rules {k}=FILE", words.get(paths.get(k))) for k in _SCOPE_KEYS[config.rule_scope]]
+        runs.add(tuple(read))
+    return frozenset([frozenset(own.items()), *runs])
+
+
+def _is_read(args, action: argparse.Action, words: dict) -> bool:
+    return _reads(_with(args, action.dest, action.default), words) != _reads(args, words)
+
+
+def _unread(args, action: argparse.Action, words: dict) -> str:
+    """Why the run does not read the option: the first option with choices
+    whose other values would read it."""
+    flag = action.option_strings[0]
+    for gate in (a for a in args.options if a.choices and getattr(args, a.dest) is not None):
+        name, current = gate.option_strings[0], getattr(args, gate.dest)
+        values = [v for v in dict.fromkeys([*gate.choices, gate.default])
+                  if v != current and _is_read(_with(args, gate.dest, v), action, words)]
+        if values == [None]:  # read only without --grid, whose every cell sets it
+            return f"{name} {current} sets {flag} in every cell; drop {flag}"
+        if values:
+            needs = " or ".join(filter(None, values))
+            return f"{flag} needs {name} {needs}: {name} {current} does not read {flag}; drop {flag}"
+    return f"nothing in this run reads {flag}; drop {flag}"
+
+
+def _check_reads(args, words: dict) -> None:
+    """The one rule, which train, evaluate and stats run before they read a
+    corpus: fail on an option set off its default whose reset leaves what the
+    run reads unchanged, and on a word list that the run reads but that is not
+    given or holds no word."""
+    reads = _reads(args, words)
+    for action in args.options:
+        reset = _with(args, action.dest, action.default)
+        if getattr(args, action.dest, action.default) != action.default and _reads(reset, words) == reads:
+            raise ValueError(_unread(args, action, words))
+    for name, value in (item for read in reads for item in read):
+        if name.startswith("--") and not value:
+            raise ValueError(f"this run reads {name}, which is not given or holds no word")
+
+
+def _run_inputs(args) -> tuple[PipelineConfig, Optional[frozenset[str]], Optional[RuleLexicons], dict]:
+    """The base config, stop list and lexicons of a train or evaluate run that
+    passes _check_reads and whose stop list removes no rule word of its configs,
+    and the input paths for its manifest."""
+    paths = _rule_paths(args.rules)
+    words = {path: load_word_list(path) for path in {args.stop_words, *paths.values()} - {None}}
+    _check_reads(args, words)
+    stop_list = words.get(args.stop_words)
+    rules = RuleLexicons(*(words.get(paths.get(k), frozenset()) for k in ("neg", "emp"))) if paths else None
+    for config in _run_configs(args):
+        _checked_rules(config, stop_list, rules)
+    inputs = {"corpus": args.corpus, "stop_words": args.stop_words, "rules": paths or None}
+    return _config(args), stop_list, rules, inputs
+
+
+def _write_manifest(
+    command: str, config_info, inputs: dict, outputs: list[Path], path: Optional[Path] = None
+) -> None:
+    """Write the run's manifest to path, by default next to its first output."""
+    path = path or outputs[0].with_name(outputs[0].name + ".manifest.json")
     manifest = {
         "tool": "opmine",
         "tool_version": __version__,
         "command": command,
         "config": config_info,
         "inputs": inputs,
-        "outputs": outputs,
+        "outputs": [str(out) for out in outputs],
     }
     atomic_write_text(path, json.dumps(manifest, sort_keys=True, ensure_ascii=False, indent=1) + "\n")
 
 
 def cmd_train(args) -> int:
-    config, stop_list, rules, input_paths = _build_inputs(args)
-    _reject_unread_knobs(config)
+    config, stop_list, rules, input_paths = _run_inputs(args)
     # the corpus is not held across save_model, so encoding the model reuses its memory
     model = train_two_stage(load_corpus(args.corpus), config, stop_list, rules)
     out = Path(args.out)
     save_model(model, out)
-    input_paths["corpus"] = args.corpus
-    _write_manifest(
-        out.with_name(out.name + ".manifest.json"),
-        "train",
-        asdict(config),
-        input_paths,
-        [str(out)],
-    )
+    _write_manifest("train", asdict(config), input_paths, [out])
     print(f"wrote model to {out}", file=sys.stderr)
     return 0
 
@@ -180,42 +225,15 @@ def _render_grid(table: str, results: list[tuple[GridCell, EvaluationReport]]) -
     return "\n".join(lines)
 
 
-# the flags of the PipelineConfig fields that grid_cells sets in every cell
-_GRID_SET_FLAGS = {
-    "metric": "--metric", "classifier": "--classifier", "ngrams": "--ngrams",
-    "rule_mode": "--rule-mode", "stemming": "--stem",
-}
-
-
 def cmd_evaluate(args) -> int:
-    config, stop_list, rules, input_paths = _build_inputs(args)
-    if args.grid:
-        default = PipelineConfig()
-        for name, flag in _GRID_SET_FLAGS.items():
-            if getattr(config, name) != getattr(default, name):
-                raise ValueError(f"--grid {args.grid} sets {flag} in every cell; drop {flag}")
-        cells = grid_cells(args.grid, config)
-        uses_stop_words = any(cell.config.stop_words for cell in cells)
-        uses_rules = any(cell.config.rule_mode != RULE_MODE_OFF for cell in cells)
-        if stop_list is not None and not uses_stop_words:
-            raise ValueError(f"--grid {args.grid} removes no stop words in any cell; drop --stop-words")
-        if rules is not None and not uses_rules:
-            raise ValueError(f"--grid {args.grid} applies no rules in any cell; drop --rules")
-        if uses_stop_words and stop_list is None:
-            raise ValueError(f"--grid {args.grid} needs --stop-words for its preprocessing rows")
-        if uses_rules and (rules is None or not rules.negatory or not rules.emphasizer):
-            raise ValueError(f"--grid {args.grid} needs --rules with both neg= and emp= lexicons")
-    else:
-        _reject_unread_knobs(config, also_read=("seed",))  # the fold plan reads the seed
-    corpus = load_corpus(args.corpus)
-    input_paths["corpus"] = args.corpus
+    config, stop_list, rules, input_paths = _run_inputs(args)
+    cells = grid_cells(args.grid, config) if args.grid else []
     stratified = not args.no_stratified
-
+    reports = cross_validate_grid(
+        load_corpus(args.corpus), [cell.config for cell in cells] or [config], k=args.folds,
+        stop_list=stop_list, rules=rules, stratified=stratified,
+    )
     if args.grid:
-        reports = cross_validate_grid(
-            corpus, [cell.config for cell in cells], k=args.folds, stop_list=stop_list,
-            rules=rules, stratified=stratified,
-        )
         results = list(zip(cells, reports))
         rendered = _render_grid(args.grid, results)
         payload = {
@@ -239,31 +257,17 @@ def cmd_evaluate(args) -> int:
             grid_txt = out_dir / f"grid_{args.grid}.txt"
             atomic_write_text(grid_json, json.dumps(payload, sort_keys=True, indent=1) + "\n")
             atomic_write_text(grid_txt, rendered + "\n")
-            _write_manifest(
-                out_dir / "manifest.json",
-                "evaluate",
-                {"grid": args.grid, "base": asdict(config), "k": args.folds,
-                 "stratified": stratified},
-                input_paths,
-                [str(grid_json), str(grid_txt)],
-            )
+            info = {"grid": args.grid, "base": asdict(config), "k": args.folds, "stratified": stratified}
+            _write_manifest("evaluate", info, input_paths, [grid_json, grid_txt], out_dir / "manifest.json")
         print(rendered)
         return 0
 
-    report = cross_validate(
-        corpus, config, k=args.folds, stop_list=stop_list, rules=rules, stratified=stratified
-    )
-    text = json.dumps(asdict(report), sort_keys=True, indent=1) + "\n"
+    text = json.dumps(asdict(reports[0]), sort_keys=True, indent=1) + "\n"
     if args.out:
         out = Path(args.out)
         atomic_write_text(out, text)
-        _write_manifest(
-            out.with_name(out.name + ".manifest.json"),
-            "evaluate",
-            {"config": asdict(config), "k": args.folds, "stratified": stratified},
-            input_paths,
-            [str(out)],
-        )
+        info = {"config": asdict(config), "k": args.folds, "stratified": stratified}
+        _write_manifest("evaluate", info, input_paths, [out])
         print(f"wrote report to {out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -297,8 +301,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    if args.by_year_month and args.by != "month":
-        raise ValueError("--by-year-month needs --by month")
+    _check_reads(args, {})
     corpus = load_corpus(args.input)
     pairs = [(p, p.label) for p in corpus]
     if args.by == "topic":
@@ -312,13 +315,8 @@ def cmd_stats(args) -> int:
         print(f"warning: no post carries a {attr}; emitting an empty table", file=sys.stderr)
     out = Path(args.out)
     emit_report(table, out, fmt=args.format)
-    _write_manifest(
-        out.with_name(out.name + ".manifest.json"),
-        "stats",
-        {"by": args.by, "by_year_month": args.by_year_month, "format": args.format},
-        {"classified": args.input},
-        [str(out)],
-    )
+    info = {"by": args.by, "by_year_month": args.by_year_month, "format": args.format}
+    _write_manifest("stats", info, {"classified": args.input}, [out])
     print(f"wrote {args.format} report to {out}", file=sys.stderr)
     return 0
 
@@ -335,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("corpus", help="JSONL corpus path")
     p_train.add_argument("--out", required=True, help="model output path")
     _add_config_args(p_train)
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_train, options=tuple(p_train._actions))
 
     p_eval = sub.add_parser("evaluate", help="cross-validate one config or a whole grid")
     p_eval.add_argument("corpus", help="JSONL corpus path")
@@ -344,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--no-stratified", action="store_true", help="plain instead of stratified folds")
     p_eval.add_argument("--out", help="report file (single config) or directory (grid)")
     _add_config_args(p_eval)
-    p_eval.set_defaults(func=cmd_evaluate)
+    p_eval.set_defaults(func=cmd_evaluate, options=tuple(p_eval._actions))
 
     p_cls = sub.add_parser("classify", help="label posts with a trained model")
     p_cls.add_argument("--model", required=True, help="model file from 'train'")
@@ -359,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--by-year-month", action="store_true", help="group months within years")
     p_stats.add_argument("--format", choices=("csv", "json"), default="csv")
     p_stats.add_argument("--out", required=True, help="report output path")
-    p_stats.set_defaults(func=cmd_stats)
+    p_stats.set_defaults(func=cmd_stats, options=tuple(p_stats._actions))
     return parser
 
 

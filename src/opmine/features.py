@@ -61,6 +61,10 @@ class RuleLexicons:
         if overlap:
             raise ValueError(f"words in both rule lexicons: {sorted(overlap)}")
 
+    @property
+    def words(self) -> frozenset[str]:
+        return self.negatory | self.emphasizer
+
 
 @dataclass(frozen=True)
 class FeatureDictionary:

@@ -19,8 +19,9 @@ import signal
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat, starmap
+from operator import add
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -268,7 +269,8 @@ def _stage_fits(
         seqs = [base[p.text] for p in (*train_posts, *test_posts)]
         trie: Optional[SuffixTrie] = None
         if config.stemming:
-            trie = build_suffix_trie({t for seq in seqs[:n] for t in seq})
+            kept = rules.words if rules else frozenset()  # the rule walk below must see every rule word
+            trie = build_suffix_trie({t for seq in seqs[:n] for t in seq}, kept=kept)
             seqs = [stem_tokens(trie, seq) for seq in seqs]
         dictionary = build_dictionary(
             [rule_adjusted_tokens(seq, rules, config.rule_mode) for seq in seqs[:n]],
@@ -343,8 +345,9 @@ def _train_stage(
 def _checked_rules(
     config: PipelineConfig, stop_list: Optional[frozenset[str]], rules: Optional[RuleLexicons]
 ) -> Optional[RuleLexicons]:
-    """Check that the config's stop list and lexicons were given; return the
-    lexicons narrowed to its rule scope, or None when rules are off."""
+    """Check that the config's stop list and lexicons were given, and that the
+    stop list removes none of the rule words; return the lexicons narrowed to
+    its rule scope, or None when rules are off."""
     if config.stop_words and stop_list is None:
         raise ValueError("config enables stop_words but no stop list was provided")
     if config.rule_mode == RULE_MODE_OFF:
@@ -352,9 +355,12 @@ def _checked_rules(
     if rules is None:
         raise ValueError(f"config sets rule_mode={config.rule_mode!r} but no rule lexicons were provided")
     if config.rule_scope == RULE_SCOPE_NEGATION:
-        return RuleLexicons(negatory=rules.negatory, emphasizer=frozenset())
-    if config.rule_scope == RULE_SCOPE_EMPHASIS:
-        return RuleLexicons(negatory=frozenset(), emphasizer=rules.emphasizer)
+        rules = RuleLexicons(negatory=rules.negatory, emphasizer=frozenset())
+    elif config.rule_scope == RULE_SCOPE_EMPHASIS:
+        rules = RuleLexicons(negatory=frozenset(), emphasizer=rules.emphasizer)
+    removed = sorted(stop_list & rules.words) if config.stop_words else []
+    if removed:
+        raise ValueError(f"the stop list holds rule words {removed}, which no rule would then see")
     return rules
 
 
@@ -483,6 +489,12 @@ class EvaluationReport:
     n_posts: int = 0
 
 
+def _mean(values: Sequence[float]) -> float:
+    """The mean, summed left to right: from Python 3.12 on, the builtin sum of
+    floats is compensated and may differ in the last bit."""
+    return reduce(add, values, 0.0) / len(values)
+
+
 def aggregate_report(fold_evals: Sequence[FoldEval]) -> EvaluationReport:
     """Pool fold tallies into one report; aggregate accuracies are micro-averaged
     so end-to-end accuracy equals the confusion-matrix trace over total posts."""
@@ -506,9 +518,9 @@ def aggregate_report(fold_evals: Sequence[FoldEval]) -> EvaluationReport:
         subjectivity_accuracy=subj_correct / n_posts,
         polarity_accuracy=sum(ev.pol_correct for ev in fold_evals) / pol_total if pol_total else 0.0,
         end_to_end_accuracy=e2e_correct / n_posts,
-        mean_subjectivity=sum(fold_subj) / len(fold_subj),
-        mean_polarity=sum(pol_defined) / len(pol_defined) if pol_defined else None,
-        mean_end_to_end=sum(fold_e2e) / len(fold_e2e),
+        mean_subjectivity=_mean(fold_subj),
+        mean_polarity=_mean(pol_defined) if pol_defined else None,
+        mean_end_to_end=_mean(fold_e2e),
         confusion=confusion,
         n_posts=n_posts,
     )
@@ -895,7 +907,9 @@ def _dictionary_from_payload(payload: dict, ngrams: str) -> FeatureDictionary:
     return FeatureDictionary(dict(zip(grams, range(len(grams)))), tuple(doc_freq), n_docs, sizes)
 
 
-def _stage_from_payload(name: str, payload: object, config: PipelineConfig) -> StageModel:
+def _stage_from_payload(
+    name: str, payload: object, config: PipelineConfig, rules: Optional[RuleLexicons]
+) -> StageModel:
     """Rebuild one stage, rejecting anything the scorer could trip over later."""
     where = f"stage {name!r}"
     _check_keys(where, payload, _STAGE_KEYS)
@@ -942,7 +956,7 @@ def _stage_from_payload(name: str, payload: object, config: PipelineConfig) -> S
     stems = _word_list(f"{where} stem_vocabulary", payload["stem_vocabulary"], used=config.stemming)
     if config.stemming and not stems:
         raise ModelFormatError(f"{where} stem_vocabulary must not be empty")
-    trie = build_suffix_trie(stems) if config.stemming else None
+    trie = build_suffix_trie(stems, kept=rules.words if rules else frozenset()) if config.stemming else None
     return StageModel(
         classes=classes,
         dictionary=dictionary,
@@ -990,14 +1004,15 @@ def load_model(path: str | Path) -> TwoStageModel:
         )
         try:
             rules = RuleLexicons(negatory=negatory, emphasizer=emphasizer)
+            _checked_rules(config, stop_list, rules)
         except ValueError as exc:
             raise ModelFormatError(f"rules: {exc}") from exc
     return TwoStageModel(
         config=config,
         subjectivity=_stage_from_payload(
-            STAGE_SUBJECTIVITY, payload["stages"][STAGE_SUBJECTIVITY], config
+            STAGE_SUBJECTIVITY, payload["stages"][STAGE_SUBJECTIVITY], config, rules
         ),
-        polarity=_stage_from_payload(STAGE_POLARITY, payload["stages"][STAGE_POLARITY], config),
+        polarity=_stage_from_payload(STAGE_POLARITY, payload["stages"][STAGE_POLARITY], config, rules),
         stop_list=stop_list,
         rules=rules,
     )

@@ -46,16 +46,19 @@ def remove_stop_words(tokens: list[str], stop: frozenset[str]) -> list[str]:
 @dataclass(frozen=True)
 class SuffixTrie:
     """Prefix trie over a vocabulary as nested dicts (character -> child node),
-    and the memo of ``stem_tokens`` (word -> stem). A trie is a function of its
-    vocabulary, so only the vocabulary takes part in equality and hashing."""
+    and the memo of ``stem_tokens`` (word -> stem), which maps each kept word to
+    itself from the start. A trie is a function of its vocabulary and kept
+    words, so only these take part in equality and hashing."""
 
     root: dict = field(compare=False, repr=False)
     vocabulary: frozenset[str]
+    kept: frozenset[str] = frozenset()
     stems: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
 
 
-def build_suffix_trie(vocabulary: Iterable[str]) -> SuffixTrie:
-    """Build the stemming trie over a non-empty, case-folded vocabulary."""
+def build_suffix_trie(vocabulary: Iterable[str], kept: frozenset[str] = frozenset()) -> SuffixTrie:
+    """Build the stemming trie over a non-empty, case-folded vocabulary; the
+    kept words are never stemmed."""
     words = frozenset(vocabulary)
     if not words:
         raise ValueError("cannot build a suffix trie from an empty vocabulary")
@@ -64,7 +67,7 @@ def build_suffix_trie(vocabulary: Iterable[str]) -> SuffixTrie:
         node = root
         for ch in word:
             node = node.setdefault(ch, {})
-    return SuffixTrie(root=root, vocabulary=words)
+    return SuffixTrie(root=root, vocabulary=words, kept=kept, stems=dict(zip(kept, kept)))
 
 
 def _variety_sequence(trie: SuffixTrie, word: str) -> list[int]:

@@ -27,7 +27,7 @@ def case(tmp_path_factory):
     root = tmp_path_factory.mktemp("input-fuzz")
     files = {"corpus": root / "corpus.jsonl"}
     save_corpus(generate_corpus(n_posts=60, seed=3), files["corpus"])
-    for name, words in (("stop", ["vemos"]), ("neg", NEGATORY_WORDS), ("emp", EMPHASIZER_WORDS)):
+    for name, words in (("stop", ["sugi"]), ("neg", NEGATORY_WORDS), ("emp", EMPHASIZER_WORDS)):
         files[name] = root / f"{name}.txt"
         files[name].write_text("\n".join(sorted(words)) + "\n", encoding="utf-8")
     files["model"] = root / "model.json"

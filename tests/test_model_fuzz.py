@@ -33,7 +33,7 @@ def model_case(tmp_path_factory):
     corpus = root / "corpus.jsonl"
     save_corpus(generate_corpus(n_posts=60, seed=3), corpus)
     lexicons = {}
-    for name, words in (("stop", ["vemos"]), ("neg", NEGATORY_WORDS), ("emp", EMPHASIZER_WORDS)):
+    for name, words in (("stop", ["sugi"]), ("neg", NEGATORY_WORDS), ("emp", EMPHASIZER_WORDS)):
         lexicons[name] = root / f"{name}.txt"
         lexicons[name].write_text("\n".join(sorted(words)) + "\n", encoding="utf-8")
     model = root / "model.json"
