@@ -794,36 +794,31 @@ MODEL_FORMAT = "opmine-two-stage"
 MODEL_FORMAT_VERSION = 3
 
 _MODEL_KEYS = {"format", "format_version", "tool_version", "config", "stop_words", "rules", "stages"}
-_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
 _STAGE_KEYS = {"classes", "dictionary", "fingerprint", "stem_vocabulary", "weights", "bias", "class_counts"}
 _DICTIONARY_KEYS = {"ngrams", "doc_freq", "n_docs", "sizes"}
+_RULE_KEYS = tuple(f.name for f in fields(RuleLexicons))
+
+# weights are stored as base64 of little-endian float64
+_WEIGHT_DTYPE = "<f8"
 
 
 class ModelFormatError(ValueError):
     """Raised when a model file cannot be parsed or fails validation."""
 
 
-# weights are stored as base64 of little-endian float64
-_WEIGHT_DTYPE = "<f8"
-
-
-def _dictionary_payload(dictionary: FeatureDictionary) -> dict:
-    return {
-        "ngrams": list(dictionary.entries),
-        "doc_freq": list(dictionary.doc_freq),
-        "n_docs": dictionary.n_docs,
-        "sizes": list(dictionary.ngram_sizes),
-    }
-
-
 def dictionary_fingerprint(payload: dict) -> str:
-    """sha256 of a dictionary payload (see _dictionary_payload) as canonical JSON."""
+    """sha256 of a stage's stored "dictionary" as canonical JSON."""
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _stage_payload(stage: StageModel) -> dict:
-    dictionary = _dictionary_payload(stage.dictionary)
+    dictionary = {
+        "ngrams": list(stage.dictionary.entries),
+        "doc_freq": list(stage.dictionary.doc_freq),
+        "n_docs": stage.dictionary.n_docs,
+        "sizes": list(stage.dictionary.ngram_sizes),
+    }
     return {
         "classes": list(stage.classes),
         "dictionary": dictionary,
@@ -842,18 +837,8 @@ def model_to_json(model: TwoStageModel) -> str:
         "tool_version": __version__,
         "config": asdict(model.config),
         "stop_words": sorted(model.stop_list) if model.stop_list is not None else None,
-        "rules": (
-            {
-                "negatory": sorted(model.rules.negatory),
-                "emphasizer": sorted(model.rules.emphasizer),
-            }
-            if model.rules
-            else None
-        ),
-        "stages": {
-            STAGE_SUBJECTIVITY: _stage_payload(model.subjectivity),
-            STAGE_POLARITY: _stage_payload(model.polarity),
-        },
+        "rules": {key: sorted(getattr(model.rules, key)) for key in _RULE_KEYS} if model.rules else None,
+        "stages": {name: _stage_payload(getattr(model, name)) for name in STAGE_CLASSES},
     }
     # no indent, so that json's C encoder runs
     return json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
@@ -918,7 +903,7 @@ def _stage_from_payload(
         dictionary = _dictionary_from_payload(payload["dictionary"], config.ngrams)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"{where} dictionary: {exc}") from exc
-    # after the checks above, the payload is exactly what _dictionary_payload writes
+    # after the checks above, the payload is exactly what _stage_payload writes
     actual = dictionary_fingerprint(payload["dictionary"])
     if actual != payload["fingerprint"]:
         raise ModelFormatError(
@@ -930,14 +915,13 @@ def _stage_from_payload(
         raise ModelFormatError(f"{where}: classes must be {list(classes)}, got {payload['classes']!r}")
     m = len(dictionary)
     try:
-        packed = base64.b64decode(payload["weights"], validate=True)
-    except (TypeError, ValueError):  # not a str, non-ASCII or not base64 (binascii.Error)
-        packed = None
-    if packed is None or len(packed) != 8 * m:
+        weights = np.frombuffer(base64.b64decode(payload["weights"], validate=True), dtype=_WEIGHT_DTYPE)
+        if len(weights) != m:
+            raise ValueError
+    except (TypeError, ValueError):  # not a str, non-ASCII, not base64 (binascii.Error) or not m float64s
         raise ModelFormatError(
             f"{where}: weights must be base64 of {m} little-endian float64 numbers, one per n-gram"
-        )
-    weights = np.frombuffer(packed, dtype=_WEIGHT_DTYPE)
+        ) from None
     bias = payload["bias"]
     # type(), not isinstance(): a bool is an int but no bias
     if type(bias) not in (int, float):
@@ -986,7 +970,7 @@ def load_model(path: str | Path) -> TwoStageModel:
     _check_keys("model", payload, _MODEL_KEYS)
     if not isinstance(payload["tool_version"], str):
         raise ModelFormatError(f"tool_version must be a string, got {payload['tool_version']!r}")
-    _check_keys("config", payload["config"], _CONFIG_KEYS)
+    _check_keys("config", payload["config"], {f.name for f in fields(PipelineConfig)})
     try:
         config = PipelineConfig(**payload["config"])
     except (TypeError, ValueError) as exc:
@@ -997,22 +981,18 @@ def load_model(path: str | Path) -> TwoStageModel:
     if config.rule_mode == RULE_MODE_OFF:
         _word_list("rules", payload["rules"], used=False)
     else:
-        _check_keys("rules", payload["rules"], {"negatory", "emphasizer"})
-        negatory, emphasizer = (
-            _word_list(f"rules {key}", payload["rules"][key], used=True)
-            for key in ("negatory", "emphasizer")
-        )
+        _check_keys("rules", payload["rules"], set(_RULE_KEYS))
+        words = {key: _word_list(f"rules {key}", payload["rules"][key], used=True) for key in _RULE_KEYS}
         try:
-            rules = RuleLexicons(negatory=negatory, emphasizer=emphasizer)
-            _checked_rules(config, stop_list, rules)
+            stored = RuleLexicons(**words)
+            rules = _checked_rules(config, stop_list, stored)
         except ValueError as exc:
             raise ModelFormatError(f"rules: {exc}") from exc
-    return TwoStageModel(
-        config=config,
-        subjectivity=_stage_from_payload(
-            STAGE_SUBJECTIVITY, payload["stages"][STAGE_SUBJECTIVITY], config, rules
-        ),
-        polarity=_stage_from_payload(STAGE_POLARITY, payload["stages"][STAGE_POLARITY], config, rules),
-        stop_list=stop_list,
-        rules=rules,
-    )
+        # model_to_json stores the lexicons narrowed as _checked_rules narrows them
+        if rules != stored:
+            raise ModelFormatError(f"rules: each lexicon outside rule_scope={config.rule_scope!r} must be []")
+    # the stage names are TwoStageModel's field names
+    stages = {
+        name: _stage_from_payload(name, payload["stages"][name], config, rules) for name in STAGE_CLASSES
+    }
+    return TwoStageModel(config=config, stop_list=stop_list, rules=rules, **stages)

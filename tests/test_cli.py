@@ -692,7 +692,9 @@ class TestEvaluate:
 
     # sha256 of each grid report of scripts/run_grid_demo.py --n-posts 90, recorded
     # with Python 3.11.7 and numpy 2.4.6. The reports hold count ratios, confusion
-    # matrices and configs, not raw floats, so they pin every cell's labels
+    # matrices and configs, which pin every cell's labels, and the three mean_* floats.
+    # pipeline._mean sums those left to right, so the digests also hold on 3.12+,
+    # whose builtin sum of floats is compensated
     GRID_DEMO_DIGESTS = {
         "table1": "fb619c960a0cbb6f01eb684a2073cbfc3d3b847edfaa7058b8043c8317a462f9",
         "table2": "90aea3c1933da040fe3ea98127cc8a6f4c6bb663975ed821dfa177a87dc61958",

@@ -1038,6 +1038,8 @@ MALFORMED_LEXICONS = [
     pytest.param(("rules",), None, "rules", id="rules-missing-for-config"),
     pytest.param(("stop_words",), ["nibar"], r"\['nibar'\]", id="stop-word-in-rules"),
     pytest.param(("config", "rule_mode"), "off", "rules", id="rules-without-rule-mode"),
+    # the fixture stores both lexicons, so the emphasizer words lie outside this scope
+    pytest.param(("config", "rule_scope"), "negation-only", "rule_scope", id="lexicon-outside-scope"),
 ]
 
 
@@ -1055,10 +1057,53 @@ def test_malformed_lexicon_raises_model_format_error(lexicon_model_payload, tmp_
         load_model(path)
 
 
-def test_lexicon_model_loads_unchanged(lexicon_model_payload, tmp_path):
+ROUND_TRIP_SHAPES = [
+    # PipelineConfig fields off their defaults. Together they cover both classifiers,
+    # every rule mode, every rule scope under a rule mode, stop words and stemming on
+    # and off, and every ngrams value
+    pytest.param({"classifier": "nb", "metric": "presence"}, id="nb-off-unigrams"),
+    pytest.param(
+        {"metric": "count", "rule_mode": "tag", "stop_words": True, "stemming": True},
+        id="svm-tag-both-stop-stem",
+    ),
+    pytest.param(
+        {"metric": "count", "ngrams": "bigrams", "rule_mode": "tag", "rule_scope": "negation-only",
+         "stemming": True},
+        id="svm-tag-negation-bigrams-stem",
+    ),
+    pytest.param(
+        {"classifier": "nb", "ngrams": "unigrams+bigrams", "rule_mode": "signed-count",
+         "rule_scope": "emphasis-only", "stop_words": True},
+        id="nb-signed-emphasis-unigrams+bigrams-stop",
+    ),
+    pytest.param(
+        {"metric": "frequency", "rule_mode": "signed-count", "stop_words": True, "stemming": True},
+        id="svm-signed-both-stop-stem",
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def round_trip_corpus():
+    return generate_corpus(n_posts=60, seed=11, shared_fraction=0.0)
+
+
+@pytest.mark.parametrize("overrides", ROUND_TRIP_SHAPES)
+def test_model_shape_loads_unchanged(round_trip_corpus, tmp_path, overrides):
+    cfg = PipelineConfig(min_count=2, svm_epochs=2, **overrides)
+    model = train_two_stage(
+        round_trip_corpus,
+        cfg,
+        stop_list=frozenset({"vuruzene"}) if cfg.stop_words else None,
+        rules=rule_lexicons() if cfg.rule_mode != "off" else None,
+    )
     path = tmp_path / "model.json"
-    path.write_text(lexicon_model_payload, encoding="utf-8")
-    assert model_to_json(load_model(path)) == lexicon_model_payload
+    save_model(model, path)
+    saved = path.read_text(encoding="utf-8")
+    loaded = load_model(path)
+    assert model_to_json(loaded) == saved
+    for post in round_trip_corpus.posts[:8]:
+        assert classify_post(loaded, post.text) == classify_post(model, post.text)
 
 
 @pytest.mark.parametrize(
