@@ -241,9 +241,9 @@ def _stage_fits(
     scoped: Sequence[Optional[RuleLexicons]],
     tokens: dict[bool, dict[str, list[str]]],
     test_posts: Sequence[Post],
-) -> list[tuple[StageModel, list[Optional[list[tuple[int, float]]]]]]:
+) -> list[tuple[StageModel, list[str]]]:
     """One stage of each config, in config order: the stage fitted on
-    train_posts and their labels, and the ``metric_items`` of test_posts.
+    train_posts and their labels, and the label it gives each of test_posts.
 
     tokens maps each stop-word setting to post text -> base tokens. The configs
     are fitted one feature key at a time: they share the trie and dictionary
@@ -324,7 +324,9 @@ def _stage_fits(
                     class_counts=counts,
                     stem_trie=trie,
                 )
-                fits[pos] = stage, raw[c.metric][n:]
+                fits[pos] = stage, [
+                    _score(stage, items, c, p.id)[0] for items, p in zip(raw[c.metric][n:], test_posts)
+                ]
     return fits
 
 
@@ -533,7 +535,8 @@ def _evaluate_configs(
     scoped: Sequence[Optional[RuleLexicons]],
     tokens: dict[bool, dict[str, list[str]]],
 ) -> list[FoldEval]:
-    """One fold of every config: train on the labeled train_posts, score test_posts.
+    """One fold of every config: the tally of the labels each stage, fitted on
+    the labeled train_posts, gives test_posts.
 
     tokens maps each stop-word setting to post text -> base tokens (see
     _stage_fits, which fits one stage of every config). Polarity-stage
@@ -545,25 +548,14 @@ def _evaluate_configs(
         for name, (posts, labels) in _stage_rows(train_posts).items()
     ]
     evals = []
-    for subjectivity, polarity, config in zip(*stage_fits, configs):
-
-        def label_of(fit: tuple[StageModel, list], i: int) -> str:
-            stage, items = fit
-            return _score(stage, items[i], config, test_posts[i].id)[0]
-
-        pol_correct = pol_total = 0
+    for (_, subjectivity), (_, polarity) in zip(*stage_fits):
         confusion = {g: {p: 0 for p in GOLD_LABELS} for g in GOLD_LABELS}
-        for i, post in enumerate(test_posts):
-            final = label_of(subjectivity, i)
-            if final != LABEL_OBJECTIVE:
-                final = label_of(polarity, i)
-            if post.label != LABEL_OBJECTIVE:
-                # stage 2 is scored on every gold-subjective post, also on one stage 1 missed
-                pol_label = final if final != LABEL_OBJECTIVE else label_of(polarity, i)
-                pol_total += 1
-                pol_correct += pol_label == post.label
+        for post, subj, pol in zip(test_posts, subjectivity, polarity):
+            final = pol if subj != LABEL_OBJECTIVE else subj
             confusion[post.label][final] += 1
-        evals.append(FoldEval(pol_correct=pol_correct, pol_total=pol_total, confusion=confusion))
+        # stage 2 is scored on every gold-subjective post, also on one stage 1 missed
+        polar = [pol == p.label for p, pol in zip(test_posts, polarity) if p.label != LABEL_OBJECTIVE]
+        evals.append(FoldEval(pol_correct=sum(polar), pol_total=len(polar), confusion=confusion))
     return evals
 
 
