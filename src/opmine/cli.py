@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .corpus import CorpusError, Post, load_corpus
+from .corpus import Post, load_corpus
 from .features import METRICS, NGRAM_SIZES, RULE_MODE_OFF, RULE_MODES, RuleLexicons
 from .ioutil import atomic_write_text
 from .pipeline import (
@@ -29,7 +29,6 @@ from .pipeline import (
     RULE_SCOPE_NEGATION,
     EvaluationReport,
     GridCell,
-    ModelFormatError,
     PipelineConfig,
     _checked_rules,
     _fork_map,
@@ -306,11 +305,10 @@ def cmd_stats(args) -> int:
     pairs = [(p, p.label) for p in corpus]
     if args.by == "topic":
         table = mood_by_topic(pairs)
-        have_attr = any(p.topic is not None for p in corpus)
     else:
         table = mood_by_month(pairs, by_year=args.by_year_month)
-        have_attr = any(p.timestamp is not None for p in corpus)
-    if corpus and not have_attr:
+    # the table has a row for each topic or month that a post carries
+    if corpus and not table.rows:
         attr = "topic" if args.by == "topic" else "timestamp"
         print(f"warning: no post carries a {attr}; emitting an empty table", file=sys.stderr)
     out = Path(args.out)
@@ -366,7 +364,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, ModelFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CorpusError and ModelFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

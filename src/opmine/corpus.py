@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,15 +25,25 @@ class CorpusError(ValueError):
     """Raised for malformed corpus files or invalid fold requests."""
 
 
+# The timestamp spellings a corpus may use: YYYY-MM-DD, then an optional "T" or
+# space and HH:MM[:SS[.fff|.ffffff]], then an optional Z/z or +-HH:MM. They are
+# matched here, as the set that datetime.fromisoformat accepts grew in Python 3.11.
+_TIMESTAMP_RE = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2})"
+    r"(?:[T ]((?:[01][0-9]|2[0-3]):[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?))?"
+    r"(?:[Zz]|([+-][0-9]{2}:[0-5][0-9]))?"
+)
+
+
 def parse_timestamp(raw: str) -> datetime:
-    """Parse an ISO-8601 timestamp and normalize it to UTC (naive treated as UTC)."""
-    text = raw.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    ts = datetime.fromisoformat(text)
-    if ts.tzinfo is None:
-        return ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    """Parse a timestamp of the spellings above, around which whitespace is
+    ignored, and normalize it to UTC (one without a zone is taken as UTC)."""
+    match = _TIMESTAMP_RE.fullmatch(raw.strip())
+    if match is None:
+        raise ValueError("expected YYYY-MM-DD[(T| )HH:MM[:SS[.fff[fff]]]][Z|+HH:MM|-HH:MM]")
+    date, time, zone = match.groups()
+    # every supported Python reads this full form alike
+    return datetime.fromisoformat(f"{date}T{time or '00:00'}{zone or '+00:00'}").astimezone(timezone.utc)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ from .features import (
     rule_adjusted_tokens,
 )
 from .ioutil import atomic_write_text
-from .preprocess import SuffixTrie, build_suffix_trie, remove_stop_words, stem_tokens, tokenize
+from .preprocess import SuffixTrie, build_suffix_trie, is_token, remove_stop_words, stem_tokens, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -848,14 +848,19 @@ def _check_keys(what: str, data: object, expected: set[str]) -> None:
         raise ModelFormatError(f"{what}: missing keys {missing}, unknown keys {unknown}")
 
 
-def _word_list(what: str, value: object, used: bool) -> Optional[frozenset[str]]:
-    """A stored lexicon: a list of strings when the config uses it, else null."""
+def _word_list(what: str, value: object, used: bool, lexicon: bool = True) -> Optional[frozenset[str]]:
+    """A stored word list: a list of strings when the config uses it, else null.
+    Each word of a lexicon (the stop words or rule words, not a stem vocabulary)
+    must be one token."""
     if not used:
         if value is not None:
             raise ModelFormatError(f"{what} must be null when the config does not use it")
         return None
     if not (isinstance(value, list) and all(isinstance(word, str) for word in value)):
         raise ModelFormatError(f"{what} must be a list of strings")
+    for word in value if lexicon else ():
+        if not is_token(word):
+            raise ModelFormatError(f"{what}: {word!r} is not one token")
     return frozenset(value)
 
 
@@ -929,7 +934,7 @@ def _stage_from_payload(
         isinstance(counts, list) and len(counts) == 2 and all(type(n) is int and n >= 0 for n in counts)
     ):
         raise ModelFormatError(f"{where}: class_counts must be two non-negative integers, got {counts!r}")
-    stems = _word_list(f"{where} stem_vocabulary", payload["stem_vocabulary"], used=config.stemming)
+    stems = _word_list(f"{where} stem_vocabulary", payload["stem_vocabulary"], config.stemming, lexicon=False)
     if config.stemming and not stems:
         raise ModelFormatError(f"{where} stem_vocabulary must not be empty")
     trie = build_suffix_trie(stems, kept=rules.words if rules else frozenset()) if config.stemming else None

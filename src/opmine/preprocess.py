@@ -23,18 +23,29 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.casefold())
 
 
+def is_token(word: str) -> bool:
+    """Whether word is the one token that ``tokenize`` makes of it; a stop word or
+    rule word that is not could match no token."""
+    return tokenize(word) == [word]
+
+
 def load_word_list(path: str | Path) -> frozenset[str]:
     """Read a one-entry-per-line UTF-8 lexicon; ``#`` comment lines are ignored.
 
-    Entries are case-folded on load. Used for stop lists and rule lexicons alike.
+    Entries are case-folded on load, and each must then be one token (a
+    ValueError names the first that is not). Used for stop lists and rule
+    lexicons alike.
     """
     words: set[str] = set()
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             entry = line.strip()
             if not entry or entry.startswith("#"):
                 continue
-            words.add(entry.casefold())
+            word = entry.casefold()
+            if not is_token(word):
+                raise ValueError(f"{path} line {line_no}: {entry!r} is not one token")
+            words.add(word)
     return frozenset(words)
 
 

@@ -463,6 +463,16 @@ def test_bad_hyperparameter_fails_without_writing_a_model(corpus_file, tmp_path,
     assert not out.exists()
 
 
+def test_non_token_word_list_entry_fails_without_writing_a_model(tmp_path, capsys):
+    stop = tmp_path / "stop.txt"
+    stop.write_text("и\ndon't\n", encoding="utf-8")
+    out = tmp_path / "m.json"
+    # the corpus does not exist: the word list fails before the corpus is read
+    rc = main(["train", str(tmp_path / "missing.jsonl"), "--out", str(out), "--stop-words", str(stop)])
+    _assert_one_error_line(capsys, rc, "stop.txt line 2: \"don't\" is not one token")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stop.txt"]
+
+
 def test_repeated_rules_key_fails(corpus_file, tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     a.write_text("nodok\n", encoding="utf-8")

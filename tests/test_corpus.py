@@ -90,11 +90,44 @@ def test_roundtrip(tmp_path, synth300):
     assert load_corpus(path) == synth300
 
 
-def test_timestamp_variants():
-    utc = timezone.utc
-    assert parse_timestamp("2009-05-01T12:00:00Z") == datetime(2009, 5, 1, 12, tzinfo=utc)
-    assert parse_timestamp("2009-05-01T14:00:00+02:00") == datetime(2009, 5, 1, 12, tzinfo=utc)
-    assert parse_timestamp("2009-05-01T12:00:00") == datetime(2009, 5, 1, 12, tzinfo=utc)
+UTC = timezone.utc
+
+# Each timestamp spelling and its UTC instant, or None where the corpus rejects
+# it; the same on every supported Python. datetime.fromisoformat accepts the
+# first six rejected ones from Python 3.11 on, and the next three on every version.
+TIMESTAMPS = [
+    ("2009-05-01T12:00:00Z", datetime(2009, 5, 1, 12, tzinfo=UTC)),
+    ("2009-05-01T14:00:00+02:00", datetime(2009, 5, 1, 12, tzinfo=UTC)),
+    ("2009-05-01T12:00:00", datetime(2009, 5, 1, 12, tzinfo=UTC)),
+    (" 2009-05-01T12:00:00z\t", datetime(2009, 5, 1, 12, tzinfo=UTC)),
+    ("2009-05-01", datetime(2009, 5, 1, tzinfo=UTC)),
+    ("2009-05-01 12:30", datetime(2009, 5, 1, 12, 30, tzinfo=UTC)),
+    ("2009-05-01T12:30:15.250-01:30", datetime(2009, 5, 1, 14, 0, 15, 250000, tzinfo=UTC)),
+    ("2009-05-01T12:30:15.000250+00:00", datetime(2009, 5, 1, 12, 30, 15, 250, tzinfo=UTC)),
+    ("2009-05-01+02:00", datetime(2009, 4, 30, 22, tzinfo=UTC)),
+    ("20140105", None),
+    ("2014-W01-1", None),
+    ("2014-01-05T10:00:00,5", None),
+    ("2014-01-05T1000", None),
+    ("2014-01-05T10:00:00+0100", None),
+    ("2014-01-05T10:00:00.12", None),
+    ("2014-01-05x10:00", None),
+    ("2014-01-05T10", None),
+    ("2014-01-05T10:00:00+01:00:30", None),
+    ("2014-01-05T10:00+01:60", None),
+]
+
+
+@pytest.mark.parametrize("raw, want", TIMESTAMPS)
+def test_timestamp_variants(tmp_path, raw, want):
+    path = write_jsonl(tmp_path / "c.jsonl", [json.dumps({"id": "a", "text": "x", "timestamp": raw})])
+    if want is None:
+        with pytest.raises(CorpusError, match="^line 1: bad timestamp"):
+            load_corpus(path)
+    else:
+        # isoformat, not ==: the result must also carry the UTC offset
+        assert parse_timestamp(raw).isoformat() == want.isoformat()
+        assert load_corpus(path).posts[0].timestamp == want
 
 
 def _posts(labels):

@@ -752,6 +752,29 @@ class TestOneVectorRule:
             assert got == want
         assert "post unseen: zero total in-dictionary count" in caplog.text
 
+    def test_stage_fits_labels_each_held_out_post_as_predict_stage_does(self):
+        corpus, stop, rules, cells = grid_case()
+        configs = [cell.config for cell in cells if cell.table in ("table1", "table2", "table4")]
+        scoped = [pipeline._checked_rules(c, stop, rules) for c in configs]
+        labeled = corpus.labeled()
+        tokens = pipeline._base_token_table(labeled, configs, stop)
+        plan = split_folds(corpus, k=3, seed=0)
+        # every fold, so that each post is held out once
+        for fold in range(3):
+            train = [p for p in labeled if plan[p.id] != fold]
+            test = [p for p in labeled if plan[p.id] == fold]
+            fits = {
+                name: pipeline._stage_fits(name, posts, labels, configs, scoped, tokens, test)
+                for name, (posts, labels) in pipeline._stage_rows(train).items()
+            }
+            for name, stage_fits in fits.items():
+                for config, config_rules, (stage, got) in zip(configs, scoped, stage_fits):
+                    base = tokens[config.stop_words]
+                    want = [_predict_stage(stage, base[p.text], config, config_rules, p.id)[0] for p in test]
+                    assert got == want, (fold, name, config)
+            # the polarity stage labels the posts that stage 1 calls objective as well
+            assert any("objective" in labels for _, labels in fits["subjectivity"])
+
     @settings(max_examples=400, deadline=None)
     @given(
         # signed counts with zero entries, whose totals are often zero
@@ -1028,6 +1051,7 @@ MALFORMED_LEXICONS = [
     pytest.param(("stop_words",), 3, "stop_words", id="int-stop-words"),
     pytest.param(("stop_words",), ["vemos", 1], "stop_words", id="non-string-stop-word"),
     pytest.param(("stop_words",), None, "stop_words", id="stop-words-missing-for-config"),
+    pytest.param(("stop_words",), ["vemos", "ne e"], "stop_words.*'ne e'", id="non-token-stop-word"),
     pytest.param(("stages", "polarity", "stem_vocabulary"), 5, "stem_vocabulary", id="int-stems"),
     pytest.param(("stages", "polarity", "stem_vocabulary"), [], "stem_vocabulary", id="no-stems"),
     pytest.param(("stages", "polarity", "stem_vocabulary"), None, "stem_vocabulary", id="null-stems"),

@@ -70,6 +70,11 @@ class TestStopWords:
         path.write_text("# comment\nThe\n\n  и  \n", encoding="utf-8")
         assert load_word_list(path) == frozenset({"the", "и"})
         assert "the" in load_word_list(path)
+        # an entry that tokenize would split or change matches no token
+        for entry in ("don't", "ne e", "stop_words"):
+            path.write_text(f"# comment\nThe\n{entry}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=rf"stop\.txt line 3: {entry!r} is not one token"):
+                load_word_list(path)
 
 
 class TestSuffixTrie:
